@@ -9,8 +9,11 @@ replace an element by its basin (expand) or a basin by its parent
 (contract).  Everything here is instance-generic; the concrete element
 types live in `thompson` and `houghton`.
 
-All values are immutable after construction and every operation is
-pure, so they can be shared freely across workers.
+Every operation is pure and no value changes after construction in
+any way that can be observed.  Some values fill caches (a support, a
+key, a hash) on first use; a cache never takes part in equality,
+hashing, `repr` or any serialized output, so values can be shared
+freely across workers.
 """
 
 from __future__ import annotations
@@ -55,16 +58,32 @@ class CapExceeded(Exception):
         self.partial = partial
 
 
-@dataclass(frozen=True)
+def cached_field():
+    """A dataclass slot for a lazily filled cache.
+
+    It is left out of `__init__`, equality and `repr`; its value is set
+    with `object.__setattr__` on first use.
+    """
+    return field(default=None, init=False, compare=False, repr=False)
+
+
+@dataclass(frozen=True, slots=True)
 class Vertex:
     """A finite set of elements with pairwise disjoint supports.
 
     Elements are stored sorted by their canonical serialization, so equal
     vertices compare and serialize identically.  The height of a vertex
-    is its number of elements.
+    is its number of elements.  The hash is computed on first use and
+    kept.
     """
 
     elements: tuple
+    _hash: int = cached_field()
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.elements,)))
+        return self._hash
 
     @property
     def height(self):
@@ -93,11 +112,15 @@ def validate_vertex(elements):
     pair of positions in the *input* order.
     """
     elements = list(elements)
+    supports = [b.support() for b in elements]
+    # Equal elements are rare; test for them pairwise only when the set
+    # shows there are some, so the first offending pair is still named.
+    has_duplicates = len(set(elements)) < len(elements)
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
-            if elements[i] == elements[j]:
+            if has_duplicates and elements[i] == elements[j]:
                 raise DuplicateElement(i, j)
-            if not elements[i].support().is_disjoint(elements[j].support()):
+            if not supports[i].is_disjoint(supports[j]):
                 raise OverlappingSupports(i, j)
     return Vertex(tuple(sorted(elements, key=lambda b: b.key())))
 
@@ -159,7 +182,8 @@ def apply_move(v, m):
             raise MoveNotApplicable("contraction target has no basin")
         if not all(c in v for c in kids):
             raise MoveNotApplicable("basin not contained in vertex")
-        rest = [b for b in v if b not in set(kids)]
+        basin = set(kids)
+        rest = [b for b in v if b not in basin]
         return validate_vertex(rest + [m.target])
     raise MoveNotApplicable(f"unknown move kind {m.kind!r}")
 

@@ -27,6 +27,7 @@ from .core import (
     Move,
     NotABijection,
     apply_move,
+    cached_field,
     validate_vertex,
 )
 
@@ -40,6 +41,9 @@ class NoExpansion(InputError):
 
 
 def check_point(p):
+    """A point as a (branch, position) tuple; a list literal is accepted."""
+    if isinstance(p, list):
+        p = tuple(p)
     if (
         not isinstance(p, tuple)
         or len(p) != 2
@@ -49,6 +53,11 @@ def check_point(p):
     ):
         raise InputError(f"not a point (branch, position >= 1): {p!r}")
     return p
+
+
+def _in_tail(p, starts):
+    """True iff point p lies in a tail; `starts` maps branch to tail start."""
+    return p[0] in starts and p[1] >= starts[p[0]]
 
 
 @dataclass(frozen=True)
@@ -90,21 +99,16 @@ class SparseRegion:
     def whole(cls, n):
         return cls(frozenset(), tuple((i, 1) for i in range(1, n + 1)))
 
-    def _tail_covers(self, p):
-        return any(i == p[0] and p[1] >= k for i, k in self.tails)
-
     def is_disjoint(self, other):
-        mine = {i for i, _ in self.tails}
-        theirs = {i for i, _ in other.tails}
-        if mine & theirs:
+        mine = dict(self.tails)
+        theirs = dict(other.tails)
+        if mine.keys() & theirs.keys():
             return False
         if self.points & other.points:
             return False
-        if any(other._tail_covers(p) for p in self.points):
+        if any(_in_tail(p, theirs) for p in self.points):
             return False
-        if any(self._tail_covers(p) for p in other.points):
-            return False
-        return True
+        return not any(_in_tail(p, mine) for p in other.points)
 
     def is_subset(self, other):
         starts = dict(other.tails)
@@ -112,7 +116,7 @@ class SparseRegion:
             if i not in starts or starts[i] > k:
                 return False
         return all(
-            p in other.points or other._tail_covers(p) for p in self.points
+            p in other.points or _in_tail(p, starts) for p in self.points
         )
 
     def union(self, other):
@@ -140,13 +144,17 @@ class HPointClass:
         return self.key()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HRayClass:
-    """Class of a ray map: exceptional images, then a same-branch tail."""
+    """Class of a ray map: exceptional images, then a same-branch tail.
+
+    The support is computed on first use and kept.
+    """
 
     branch: int
     exceptions: tuple
     tail: int
+    _support: SparseRegion = cached_field()
 
     @classmethod
     def make(cls, branch, exceptions, tail, tail_branch=None):
@@ -160,7 +168,7 @@ class HRayClass:
             raise InputError(f"bad branch {branch!r}")
         if not isinstance(tail, int) or tail < 1:
             raise InputError(f"bad tail start {tail!r}")
-        exceptions = tuple(check_point(tuple(p)) for p in exceptions)
+        exceptions = tuple(check_point(p) for p in exceptions)
         if len(set(exceptions)) != len(exceptions):
             raise InputError("exceptional images must be distinct")
         if any(i == branch and m >= tail for i, m in exceptions):
@@ -174,9 +182,15 @@ class HRayClass:
         # make(), not the raw constructor: an exceptional image sitting
         # just below the tail (legal unless it is the last exception)
         # must be absorbed into the tail in the region descriptor.
-        return SparseRegion.make(
-            self.exceptions, ((self.branch, self.tail),)
-        )
+        if self._support is None:
+            object.__setattr__(
+                self,
+                "_support",
+                SparseRegion.make(
+                    self.exceptions, ((self.branch, self.tail),)
+                ),
+            )
+        return self._support
 
     def children(self):
         """Peel the first point: (point class, shifted ray class)."""
@@ -197,7 +211,7 @@ class HRayClass:
 
 
 def canonicalize_point(image):
-    return HPointClass(check_point(tuple(image)))
+    return HPointClass(check_point(image))
 
 
 def canonicalize_ray(branch, images, tail, start=1, tail_branch=None):
@@ -241,8 +255,8 @@ class HGroupElement:
         exc = {}
         pairs = exceptions.items() if isinstance(exceptions, dict) else exceptions
         for x, y in pairs:
-            x = check_point(tuple(x))
-            y = check_point(tuple(y))
+            x = check_point(x)
+            y = check_point(y)
             if x[0] > n or y[0] > n:
                 raise InputError(f"branch out of range in {x} -> {y}")
             if exc.setdefault(x, y) != y:
@@ -534,13 +548,21 @@ class HoughtonSystem(ExpansionSystem):
         if isinstance(obj, dict):
             if "point" in obj:
                 return self._check_element(canonicalize_point(obj["point"]))
+            for name in ("branch", "tail"):
+                if name not in obj:
+                    raise InputError(f"ray literal needs a {name!r} field")
             tail = obj["tail"]
             tail_branch = None
             if isinstance(tail, (list, tuple)):
+                if len(tail) != 2:
+                    raise InputError(f"bad tail {tail!r}")
                 tail_branch, tail = tail
+            exceptions = obj.get("exceptions", [])
+            if not isinstance(exceptions, (list, tuple)):
+                raise InputError(f"exceptions must be a list: {exceptions!r}")
             ray = canonicalize_ray(
                 obj["branch"],
-                [tuple(p) for p in obj.get("exceptions", [])],
+                exceptions,
                 tail,
                 start=obj.get("start", 1),
                 tail_branch=tail_branch,

@@ -6,11 +6,13 @@ Vertex files look like::
     {"instance": "houghton", "n": 2, "elements": [[1, 1], {"branch": 1, ...}]}
 
 The `instance` tag selects the expansion system; `houghton` takes the
-branch count `n` (default 2).  Element literals are defined by the
-instance modules: prefix-map tables as `[[domain, image], ...]` pairs
-(or the `"00->1,01->01,1->00"` text grammar), points as `[branch,
-position]`, and ray classes as objects with `branch`, `exceptions`, and
-`tail` fields.
+branch count `n` (default 2).  The vertex of a vertex file, and the
+base of a cube file, must cover the whole space.  Element literals are
+defined by the instance modules: prefix-map tables as `[[domain, image],
+...]` pairs (or the `"00->1,01->01,1->00"` text grammar), points as
+`[branch, position]`, and ray classes as objects with `branch`,
+`exceptions`, and `tail` fields.  A literal of the wrong shape raises
+InputError.
 """
 
 from __future__ import annotations
@@ -45,11 +47,30 @@ def vertex_to_obj(system, v):
     return obj
 
 
+def _parse_elements(system, obj, field):
+    items = obj.get(field, [])
+    if not isinstance(items, list):
+        raise InputError(f"{field!r} must be a list of element literals")
+    return [system.parse_element(e) for e in items]
+
+
+def _parse_full_vertex(system, obj, field):
+    v = validate_vertex(_parse_elements(system, obj, field))
+    if not system.is_full_support(v):
+        raise InputError(
+            f"the vertex in {field!r} does not cover the whole space"
+        )
+    return v
+
+
 def parse_vertex_obj(obj):
-    """Load a vertex file object; returns (system, vertex)."""
+    """Load a vertex file object; returns (system, vertex).
+
+    The vertex must cover the whole space: every command works on the
+    full-support vertices of the complex.
+    """
     system = system_from_obj(obj)
-    elements = [system.parse_element(e) for e in obj.get("elements", [])]
-    return system, validate_vertex(elements)
+    return system, _parse_full_vertex(system, obj, "elements")
 
 
 def cube_to_obj(system, c):
@@ -65,10 +86,8 @@ def cube_to_obj(system, c):
 
 def parse_cube_obj(obj):
     system = system_from_obj(obj)
-    base = validate_vertex(
-        [system.parse_element(e) for e in obj.get("base", [])]
-    )
-    active = [system.parse_element(e) for e in obj.get("active", [])]
+    base = _parse_full_vertex(system, obj, "base")
+    active = _parse_elements(system, obj, "active")
     return system, Cube.make(base, active)
 
 

@@ -29,6 +29,7 @@ from .core import (
     OverlappingSupports,
     Vertex,
     apply_move,
+    cached_field,
     validate_vertex,
 )
 
@@ -74,24 +75,30 @@ def is_complete_code(words):
 
 
 def _normalize_words(words):
-    """Reduced antichain naming the union of the given balls."""
-    ws = set(words)
-    while True:
-        nested = {w for w in ws for u in ws if u != w and w.startswith(u)}
-        if nested:
-            ws -= nested
+    """Reduced antichain naming the union of the given balls.
+
+    In sorted order a word follows every prefix of it, so one pass with a
+    stack suffices: a word nested under the last kept word is dropped, and
+    sibling pairs x0, x1 on top of the stack merge into x (repeatedly, as
+    the merged word may complete another pair).
+    """
+    stack = []
+    for w in sorted(words):
+        if stack and w.startswith(stack[-1]):
             continue
-        for w in sorted(ws):
-            if w and w[-1] == "0" and w[:-1] + "1" in ws:
-                ws.discard(w)
-                ws.discard(w[:-1] + "1")
-                ws.add(w[:-1])
-                break
-        else:
-            return tuple(sorted(ws))
+        stack.append(w)
+        while (
+            len(stack) >= 2
+            and stack[-2][-1:] == "0"
+            and stack[-1][-1:] == "1"
+            and stack[-2][:-1] == stack[-1][:-1]
+        ):
+            stack.pop()
+            stack[-1] = stack[-1][:-1]
+    return tuple(stack)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallRegion:
     """A region of the Cantor set: a reduced antichain of ball names."""
 
@@ -184,18 +191,33 @@ def compose_entries(outer, inner):
     return _merge_sorted(sorted(out))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VElement:
-    """Canonical class of a finite prefix-map with domain transported to X."""
+    """Canonical class of a finite prefix-map with domain transported to X.
+
+    The support, key and hash are computed on first use and kept.
+    """
 
     table: tuple
+    _support: BallRegion = cached_field()
+    _key: str = cached_field()
+    _hash: int = cached_field()
 
     @classmethod
     def from_table(cls, entries):
         return cls(reduce_table(entries))
 
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.table,)))
+        return self._hash
+
     def support(self):
-        return BallRegion.make([g for _, g in self.table])
+        if self._support is None:
+            object.__setattr__(
+                self, "_support", BallRegion.make([g for _, g in self.table])
+            )
+        return self._support
 
     def children(self):
         """The two halves: restrictions to B_0 and B_1, canonicalized."""
@@ -208,7 +230,9 @@ class VElement:
         return (VElement(_merge_sorted(left)), VElement(_merge_sorted(right)))
 
     def key(self):
-        return self.text()
+        if self._key is None:
+            object.__setattr__(self, "_key", self.text())
+        return self._key
 
     def text(self):
         return ",".join(f"{d}->{g}" for d, g in self.table)
@@ -246,6 +270,17 @@ def parse_table_text(text):
         d, g = part.split("->", 1)
         entries.append((check_word(d.strip()), check_word(g.strip())))
     return tuple(entries)
+
+
+def parse_table(obj):
+    """Raw table entries from the text grammar or a list of pairs."""
+    if isinstance(obj, str):
+        return parse_table_text(obj)
+    if not isinstance(obj, (list, tuple)) or not all(
+        isinstance(e, (list, tuple)) and len(e) == 2 for e in obj
+    ):
+        raise InputError(f"not a table of [domain, image] pairs: {obj!r}")
+    return tuple(tuple(e) for e in obj)
 
 
 def expand(b):
@@ -420,28 +455,23 @@ class VSystem(ExpansionSystem):
         return act(g, b)
 
     def parse_element(self, obj):
-        if isinstance(obj, str):
-            return canonicalize(parse_table_text(obj))
         if isinstance(obj, dict):
-            entries = obj.get("table")
-            if entries is None:
+            if "table" not in obj:
                 raise InputError("element object needs a 'table' field")
-            if isinstance(entries, str):
-                entries = parse_table_text(entries)
             return canonicalize(
-                [tuple(e) for e in entries], obj.get("domain", "")
+                parse_table(obj["table"]), obj.get("domain", "")
             )
-        return canonicalize([tuple(e) for e in obj])
+        return canonicalize(parse_table(obj))
 
     def element_to_obj(self, b):
         return [list(e) for e in b.table]
 
     def parse_group(self, obj):
-        if isinstance(obj, str):
-            return VGroupElement.from_table(parse_table_text(obj))
         if isinstance(obj, dict):
-            return self.parse_group(obj["table"])
-        return VGroupElement.from_table([tuple(e) for e in obj])
+            if "table" not in obj:
+                raise InputError("group object needs a 'table' field")
+            obj = obj["table"]
+        return VGroupElement.from_table(parse_table(obj))
 
     def group_to_obj(self, g):
         return [list(e) for e in g.table]

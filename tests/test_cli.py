@@ -244,3 +244,45 @@ def test_act_rejects_non_bijection_table(tmp_path, capsys):
     code, _, err = run(capsys, "act", g, v)
     assert code == 2
     assert "error" in err
+
+
+def assert_input_error(code, out, err):
+    """Exit 2 with one `error:` line on stderr and nothing on stdout."""
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("bfs", "--radius", "1"), ("stabilizer",)], ids=["bfs", "stab"]
+)
+def test_partial_vertex_is_rejected(tmp_path, capsys, argv):
+    half = write(
+        tmp_path, "half.json", {"instance": "v", "elements": [[["", "0"]]]}
+    )
+    code, out, err = run(capsys, argv[0], half, *argv[1:])
+    assert_input_error(code, out, err)
+    assert "does not cover" in err
+
+
+@pytest.mark.parametrize(
+    "vertex",
+    [
+        {
+            "instance": "houghton",
+            "n": 2,
+            "elements": [
+                [1, 1],
+                {"branch": 1, "exceptions": []},
+                {"branch": 2, "exceptions": [], "tail": 1},
+            ],
+        },
+        {"instance": "v", "elements": [5]},
+        {"instance": "v", "elements": [[["", "0", "1"]]]},
+    ],
+    ids=["ray-without-tail", "v-element-int", "three-word-entry"],
+)
+def test_malformed_element_literal_is_input_error(tmp_path, capsys, vertex):
+    path = write(tmp_path, "bad.json", vertex)
+    assert_input_error(*run(capsys, "neighbors", path))

@@ -1,0 +1,194 @@
+"""Differential tests for the region kernels and the cached element data.
+
+Each fast kernel is compared, on seeded data, with a brute computation
+that shares none of its logic: ball words by the depth-6 words they
+cover, sparse regions by enumerating their points, cached supports,
+keys and hashes by freshly built values, and `validate_vertex` by the
+plain pairwise scan it replaced.
+"""
+
+import dataclasses
+import itertools
+
+import pytest
+
+from cubex import (
+    DuplicateElement,
+    HoughtonSystem,
+    HRayClass,
+    Move,
+    OverlappingSupports,
+    VElement,
+    VSystem,
+    apply_move,
+    validate_vertex,
+)
+from cubex.houghton import SparseRegion
+from cubex.oracle import random_vertex, rng_from_seed
+from cubex.thompson import BallRegion, _normalize_words
+
+DEPTH = 6
+WORDS = [
+    "".join(bits)
+    for n in range(DEPTH + 1)
+    for bits in itertools.product("01", repeat=n)
+]
+# The depth-6 words below each word of length <= 6.
+LEAVES = {
+    w: frozenset(u for u in WORDS if len(u) == DEPTH and u.startswith(w))
+    for w in WORDS
+}
+
+
+def covered(words):
+    return frozenset().union(*(LEAVES[w] for w in words))
+
+
+def test_normalize_words_matches_depth6_coverage():
+    rng = rng_from_seed(11)
+    for _ in range(10_000):
+        words = [rng.choice(WORDS) for _ in range(rng.randint(0, 10))]
+        # Bias toward sibling-rich inputs, where merges cascade.
+        w = rng.choice(WORDS[:-64])
+        if rng.random() < 0.5:
+            words += [w + "0", w + "1"]
+        out = _normalize_words(words)
+        assert covered(out) == covered(words), words
+        assert list(out) == sorted(set(out))
+        for u, w in itertools.combinations(out, 2):
+            assert not (u.startswith(w) or w.startswith(u)), (words, out)
+            assert not (
+                u[:-1] == w[:-1] and {u[-1:], w[-1:]} == {"0", "1"}
+            ), (words, out)
+
+
+def random_sparse_region(rng, n):
+    points = {
+        (rng.randint(1, n), rng.randint(1, 6))
+        for _ in range(rng.randint(0, 4))
+    }
+    tails = [
+        (i, rng.randint(1, 7)) for i in range(1, n + 1) if rng.random() < 0.4
+    ]
+    return SparseRegion.make(points, tails)
+
+
+def enumerate_points(region, top, n):
+    starts = dict(region.tails)
+    return {
+        (i, p)
+        for i in range(1, n + 1)
+        for p in range(1, top + 1)
+        if (i, p) in region.points or (i in starts and p >= starts[i])
+    }
+
+
+def test_sparse_region_kernels_match_enumeration():
+    rng = rng_from_seed(13)
+    for _ in range(5_000):
+        n = rng.randint(1, 3)
+        a, b = random_sparse_region(rng, n), random_sparse_region(rng, n)
+        top = 2 + max(
+            [p for _, p in a.points | b.points]
+            + [k for _, k in a.tails + b.tails]
+            + [0]
+        )
+        pa, pb = enumerate_points(a, top, n), enumerate_points(b, top, n)
+        assert a.is_disjoint(b) == (not pa & pb), (a, b)
+        assert a.is_subset(b) == (pa <= pb), (a, b)
+
+
+def walk_elements(system, seed):
+    """Elements of seeded random vertices and of their expansions."""
+    rng = rng_from_seed(seed)
+    low = system.base_vertex().height
+    for h in range(low, low + 6):
+        v = random_vertex(system, rng, h)
+        yield from v
+        for b in v:
+            if b.children() is not None:
+                yield from apply_move(v, Move.expand(b))
+
+
+@pytest.mark.parametrize(
+    "system, fresh, uncached",
+    [
+        (
+            VSystem(),
+            lambda b: VElement(b.table),
+            lambda b: BallRegion.make([g for _, g in b.table]),
+        ),
+        (
+            HoughtonSystem(3),
+            lambda b: HRayClass(b.branch, b.exceptions, b.tail),
+            lambda b: SparseRegion.make(b.exceptions, ((b.branch, b.tail),)),
+        ),
+    ],
+    ids=["v", "houghton"],
+)
+def test_cached_element_data_matches_fresh_values(system, fresh, uncached):
+    def dataclass_hash(b):
+        # The hash a frozen dataclass derives from its compared fields.
+        fields = dataclasses.fields(b)
+        return hash(tuple(getattr(b, f.name) for f in fields if f.compare))
+
+    seen = 0
+    for b in walk_elements(system, 17):
+        if not isinstance(b, (VElement, HRayClass)):
+            continue
+        seen += 1
+        first = (b.support(), b.key(), hash(b))
+        # The second reads come from the caches.
+        assert (b.support(), b.key(), hash(b)) == first
+        c = fresh(b)
+        assert b == c and repr(b) == repr(c)
+        assert first == (c.support(), c.key(), hash(c))
+        assert b.support() == uncached(b)
+        assert hash(b) == dataclass_hash(b)
+    assert seen > 50
+
+
+def reference_validate(elements):
+    """The pairwise scan `validate_vertex` must agree with, error for error."""
+    for i in range(len(elements)):
+        for j in range(i + 1, len(elements)):
+            if elements[i] == elements[j]:
+                return DuplicateElement, (i, j)
+            if not elements[i].support().is_disjoint(elements[j].support()):
+                return OverlappingSupports, (i, j)
+    return None, None
+
+
+@pytest.mark.parametrize(
+    "system", [VSystem(), HoughtonSystem(2)], ids=["v", "houghton"]
+)
+def test_validate_vertex_names_the_reference_pair(system):
+    rng = rng_from_seed(19)
+    errors = set()
+    for _ in range(300):
+        v = random_vertex(system, rng, rng.randint(2, 6))
+        elements = list(v)
+        b = rng.choice(elements)
+        if rng.random() < 0.5 or b.children() is None:
+            extra = b
+        else:
+            extra = rng.choice(b.children())
+        elements.append(extra)
+        rng.shuffle(elements)
+        want = reference_validate(elements)
+        with pytest.raises(want[0]) as err:
+            validate_vertex(elements)
+        assert type(err.value) is want[0]
+        assert err.value.indices == want[1]
+        errors.add(want[0])
+    assert errors == {DuplicateElement, OverlappingSupports}
+
+
+def test_vertex_hash_is_the_hash_of_its_elements():
+    rng = rng_from_seed(23)
+    for system in (VSystem(), HoughtonSystem(2)):
+        for h in range(2, 7):
+            v = random_vertex(system, rng, h)
+            w = validate_vertex(list(reversed(v.elements)))
+            assert hash(v) == hash((v.elements,)) == hash(w)
+            assert v == w and repr(v) == repr(w)

@@ -62,6 +62,16 @@ def test_unknown_instance_rejected():
         parse_vertex_obj({"elements": []})
 
 
+def test_partial_vertex_and_cube_base_rejected():
+    half = [[["", "0"]]]
+    with pytest.raises(InputError, match="does not cover"):
+        parse_vertex_obj({"instance": "v", "elements": half})
+    with pytest.raises(InputError, match="does not cover"):
+        parse_vertex_obj({"instance": "v", "elements": []})
+    with pytest.raises(InputError, match="does not cover"):
+        parse_cube_obj({"instance": "v", "base": half, "active": half})
+
+
 def test_cube_roundtrip():
     system = get_system("v")
     b0 = system.parse_element([["", "0"]])
