@@ -10,10 +10,10 @@ replace an element by its basin (expand) or a basin by its parent
 types live in `thompson` and `houghton`.
 
 Every operation is pure and no value changes after construction in
-any way that can be observed.  Some values fill caches (a support, a
-key, a hash) on first use; a cache never takes part in equality,
-hashing, `repr` or any serialized output, so values can be shared
-freely across workers.
+any way that can be observed.  Some values fill caches (a support, the
+children, a key, a hash) on first use; a cache never takes part in
+equality, hashing, `repr` or any serialized output, so values can be
+shared freely across workers.
 """
 
 from __future__ import annotations
@@ -113,15 +113,18 @@ def validate_vertex(elements):
     """
     elements = list(elements)
     supports = [b.support() for b in elements]
-    # Equal elements are rare; test for them pairwise only when the set
-    # shows there are some, so the first offending pair is still named.
-    has_duplicates = len(set(elements)) < len(elements)
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            if has_duplicates and elements[i] == elements[j]:
-                raise DuplicateElement(i, j)
-            if not supports[i].is_disjoint(supports[j]):
-                raise OverlappingSupports(i, j)
+    # The region type's one-sweep kernel decides the whole family at
+    # once.  Only when it, or the set of elements, shows a problem does
+    # the pairwise scan run, to name the first offending pair.
+    if len(set(elements)) < len(elements) or (
+        supports and not type(supports[0]).all_disjoint(supports)
+    ):
+        for i in range(len(elements)):
+            for j in range(i + 1, len(elements)):
+                if elements[i] == elements[j]:
+                    raise DuplicateElement(i, j)
+                if not supports[i].is_disjoint(supports[j]):
+                    raise OverlappingSupports(i, j)
     return Vertex(tuple(sorted(elements, key=lambda b: b.key())))
 
 
@@ -238,7 +241,9 @@ class ExpansionSystem:
     hash-equality matching class equality, `support()` returning the
     system's region type, and `children()` returning the ordered basin
     (length >= 2) or None when the element admits no proper expansion.
-    Generic code never assumes basins have size two.
+    Generic code never assumes basins have size two.  The region type
+    supplies `is_disjoint`, `is_subset` and a static
+    `all_disjoint(regions)` that decides a whole family at once.
     """
 
     name = "?"

@@ -110,6 +110,27 @@ class SparseRegion:
             return False
         return not any(_in_tail(p, mine) for p in other.points)
 
+    @staticmethod
+    def all_disjoint(regions):
+        """True iff the regions are pairwise disjoint, in one sweep.
+
+        Each region is normalized, so an overlap is a branch with two
+        tails, a point named twice, or a point inside another's tail.
+        """
+        starts = {}
+        points = set()
+        count = 0
+        for r in regions:
+            for i, k in r.tails:
+                if i in starts:
+                    return False
+                starts[i] = k
+            points |= r.points
+            count += len(r.points)
+        if len(points) < count:
+            return False
+        return not any(_in_tail(p, starts) for p in points)
+
     def is_subset(self, other):
         starts = dict(other.tails)
         for i, k in self.tails:
@@ -125,14 +146,22 @@ class SparseRegion:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HPointClass:
-    """Class of a singleton map, determined by the image point."""
+    """Class of a singleton map, determined by the image point.
+
+    The support is computed on first use and kept.
+    """
 
     image: tuple
+    _support: SparseRegion = cached_field()
 
     def support(self):
-        return SparseRegion(frozenset((self.image,)), ())
+        if self._support is None:
+            object.__setattr__(
+                self, "_support", SparseRegion(frozenset((self.image,)), ())
+            )
+        return self._support
 
     def children(self):
         return None
@@ -148,13 +177,15 @@ class HPointClass:
 class HRayClass:
     """Class of a ray map: exceptional images, then a same-branch tail.
 
-    The support is computed on first use and kept.
+    The support, children and key are computed on first use and kept.
     """
 
     branch: int
     exceptions: tuple
     tail: int
     _support: SparseRegion = cached_field()
+    _children: tuple = cached_field()
+    _key: str = cached_field()
 
     @classmethod
     def make(cls, branch, exceptions, tail, tail_branch=None):
@@ -194,17 +225,25 @@ class HRayClass:
 
     def children(self):
         """Peel the first point: (point class, shifted ray class)."""
-        if self.exceptions:
-            first = self.exceptions[0]
-            rest = HRayClass.make(self.branch, self.exceptions[1:], self.tail)
-        else:
-            first = (self.branch, self.tail)
-            rest = HRayClass(self.branch, (), self.tail + 1)
-        return (HPointClass(first), rest)
+        if self._children is None:
+            if self.exceptions:
+                first = self.exceptions[0]
+                rest = HRayClass.make(
+                    self.branch, self.exceptions[1:], self.tail
+                )
+            else:
+                first = (self.branch, self.tail)
+                rest = HRayClass(self.branch, (), self.tail + 1)
+            object.__setattr__(self, "_children", (HPointClass(first), rest))
+        return self._children
 
     def key(self):
-        exc = ";".join(f"{i}.{m}" for i, m in self.exceptions)
-        return f"r{self.branch}:{exc}:{self.tail}"
+        if self._key is None:
+            exc = ";".join(f"{i}.{m}" for i, m in self.exceptions)
+            object.__setattr__(
+                self, "_key", f"r{self.branch}:{exc}:{self.tail}"
+            )
+        return self._key
 
     def __str__(self):
         return self.key()
@@ -271,6 +310,15 @@ class HGroupElement:
         return g
 
     def _check_bijection(self):
+        # Positions 1..t of a branch with offset t > 0 are no translate's
+        # image, and positions 1..|t| with t < 0 have no translate: each
+        # such point needs its own exception.  Checked before any loop
+        # below runs over |t| positions.
+        if max(
+            sum(t for t in self.offsets if t > 0),
+            sum(-t for t in self.offsets if t < 0),
+        ) > len(self.exceptions):
+            raise NotABijection("offsets exceed what the exceptions cover")
         exc = dict(self.exceptions)
         for i, t in enumerate(self.offsets, start=1):
             # with a negative offset the lowest positions cannot translate
@@ -580,14 +628,22 @@ class HoughtonSystem(ExpansionSystem):
         }
 
     def parse_group(self, obj):
-        return HGroupElement.make(
-            self.n,
-            obj.get("offsets", [0] * self.n),
-            [
-                (tuple(x), tuple(y))
-                for x, y in obj.get("exceptions", [])
-            ],
-        )
+        if not isinstance(obj, dict):
+            raise InputError(f"group literal must be an object: {obj!r}")
+        offsets = obj.get("offsets", [0] * self.n)
+        if not isinstance(offsets, list) or not all(
+            type(t) is int for t in offsets
+        ):
+            raise InputError(f"offsets must be a list of ints: {offsets!r}")
+        exceptions = obj.get("exceptions", [])
+        if not isinstance(exceptions, list) or not all(
+            isinstance(e, list) and len(e) == 2 for e in exceptions
+        ):
+            raise InputError(
+                f"exceptions must be a list of [point, point] pairs:"
+                f" {exceptions!r}"
+            )
+        return HGroupElement.make(self.n, offsets, exceptions)
 
     def group_to_obj(self, g):
         return {

@@ -120,6 +120,18 @@ class BallRegion:
             comparable(u, w) for u in self.words for w in other.words
         )
 
+    @staticmethod
+    def all_disjoint(regions):
+        """True iff the regions are pairwise disjoint, in one sorted sweep.
+
+        In sorted order a word's extensions follow it directly, so any
+        two comparable words show up as an adjacent comparable pair; each
+        region's own words are an antichain, so such a pair always spans
+        two regions.
+        """
+        words = sorted(w for r in regions for w in r.words)
+        return not any(b.startswith(a) for a, b in zip(words, words[1:]))
+
     def is_subset(self, other):
         # A reduced antichain covers B_w iff it contains a prefix of w.
         return all(
@@ -195,11 +207,13 @@ def compose_entries(outer, inner):
 class VElement:
     """Canonical class of a finite prefix-map with domain transported to X.
 
-    The support, key and hash are computed on first use and kept.
+    The support, children, key and hash are computed on first use and
+    kept.
     """
 
     table: tuple
     _support: BallRegion = cached_field()
+    _children: tuple = cached_field()
     _key: str = cached_field()
     _hash: int = cached_field()
 
@@ -221,13 +235,20 @@ class VElement:
 
     def children(self):
         """The two halves: restrictions to B_0 and B_1, canonicalized."""
-        t = self.table
-        if len(t) == 1:
-            ((_, g),) = t
-            return (VElement((("", g + "0"),)), VElement((("", g + "1"),)))
-        left = tuple((d[1:], g) for d, g in t if d[0] == "0")
-        right = tuple((d[1:], g) for d, g in t if d[0] == "1")
-        return (VElement(_merge_sorted(left)), VElement(_merge_sorted(right)))
+        if self._children is None:
+            t = self.table
+            if len(t) == 1:
+                ((_, g),) = t
+                kids = (VElement((("", g + "0"),)), VElement((("", g + "1"),)))
+            else:
+                left = tuple((d[1:], g) for d, g in t if d[0] == "0")
+                right = tuple((d[1:], g) for d, g in t if d[0] == "1")
+                kids = (
+                    VElement(_merge_sorted(left)),
+                    VElement(_merge_sorted(right)),
+                )
+            object.__setattr__(self, "_children", kids)
+        return self._children
 
     def key(self):
         if self._key is None:

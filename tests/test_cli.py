@@ -286,3 +286,32 @@ def test_partial_vertex_is_rejected(tmp_path, capsys, argv):
 def test_malformed_element_literal_is_input_error(tmp_path, capsys, vertex):
     path = write(tmp_path, "bad.json", vertex)
     assert_input_error(*run(capsys, "neighbors", path))
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        [1, 2],
+        {"offsets": [1, "a"]},
+        {"offsets": [0, 0], "exceptions": [[1, 2, 3]]},
+        {"offsets": [1000000000, 0]},
+    ],
+    ids=["list", "non-int-offset", "three-item-exception", "huge-offset"],
+)
+def test_malformed_houghton_group_literal_is_input_error(
+    tmp_path, capsys, group
+):
+    g = write(tmp_path, "g.json", group)
+    v = write(
+        tmp_path,
+        "v.json",
+        {
+            "instance": "houghton",
+            "n": 2,
+            "elements": [
+                {"branch": 1, "exceptions": [], "tail": 1},
+                {"branch": 2, "exceptions": [], "tail": 1},
+            ],
+        },
+    )
+    assert_input_error(*run(capsys, "act", g, v))

@@ -171,6 +171,16 @@ def test_group_construction_rejects_bad_maps():
         HGroupElement.make(2, (-1, 1), {})
 
 
+@pytest.mark.parametrize(
+    "offsets", [(10**9, 0), (0, -(10**9)), (10**9, -(10**9))]
+)
+def test_group_offsets_beyond_the_exceptions_fail_at_once(offsets):
+    # Each of the first |t| positions of a branch with offset t needs an
+    # exception, so these are refused before any loop over |t| runs.
+    with pytest.raises(NotABijection, match="offsets exceed"):
+        HGroupElement.make(2, offsets, {(2, 1): (1, 1)})
+
+
 def test_group_normalizes_redundant_exceptions():
     g = HGroupElement.make(2, (0, 0), {(1, 1): (1, 1)})
     assert g == h2.identity()

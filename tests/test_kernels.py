@@ -3,8 +3,9 @@
 Each fast kernel is compared, on seeded data, with a brute computation
 that shares none of its logic: ball words by the depth-6 words they
 cover, sparse regions by enumerating their points, cached supports,
-keys and hashes by freshly built values, and `validate_vertex` by the
-plain pairwise scan it replaced.
+keys, hashes and children by freshly built values, the one-sweep
+`all_disjoint` kernels by every-pair `is_disjoint`, and `validate_vertex`
+by the plain pairwise scan it replaced.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ import pytest
 from cubex import (
     DuplicateElement,
     HoughtonSystem,
+    HPointClass,
     HRayClass,
     Move,
     OverlappingSupports,
@@ -98,6 +100,56 @@ def test_sparse_region_kernels_match_enumeration():
         assert a.is_subset(b) == (pa <= pb), (a, b)
 
 
+def disjoint_families(system, stray, seed):
+    """Support families from seeded random vertices: each vertex's own
+    (disjoint), a subfamily of it, and the vertex's plus one duplicated,
+    nested or stray support, shuffled."""
+    rng = rng_from_seed(seed)
+    low = system.base_vertex().height
+    for _ in range(300):
+        v = list(random_vertex(system, rng, rng.randint(low, low + 6)))
+        regions = [b.support() for b in v]
+        yield regions
+        yield rng.sample(regions, rng.randint(1, len(regions)))
+        b = rng.choice(v)
+        extras = [b.support(), stray(rng)]
+        if b.children() is not None:
+            extras.append(rng.choice(b.children()).support())
+        for extra in extras:
+            family = regions + [extra]
+            rng.shuffle(family)
+            yield family
+
+
+@pytest.mark.parametrize(
+    "system, region_type, stray",
+    [
+        (
+            VSystem(),
+            BallRegion,
+            lambda rng: BallRegion.make([rng.choice(WORDS)]),
+        ),
+        # Random points and tails: often a point inside a vertex's tail,
+        # or a second tail on one of its branches.
+        (
+            HoughtonSystem(3),
+            SparseRegion,
+            lambda rng: random_sparse_region(rng, 3),
+        ),
+    ],
+    ids=["v", "houghton"],
+)
+def test_all_disjoint_matches_every_pair(system, region_type, stray):
+    outcomes = []
+    for family in disjoint_families(system, stray, 29):
+        want = all(
+            a.is_disjoint(b) for a, b in itertools.combinations(family, 2)
+        )
+        assert region_type.all_disjoint(family) == want, family
+        outcomes.append(want)
+    assert outcomes.count(True) > 300 and outcomes.count(False) > 300
+
+
 def walk_elements(system, seed):
     """Elements of seeded random vertices and of their expansions."""
     rng = rng_from_seed(seed)
@@ -110,42 +162,37 @@ def walk_elements(system, seed):
                 yield from apply_move(v, Move.expand(b))
 
 
+def uncached_support(b):
+    if isinstance(b, VElement):
+        return BallRegion.make([g for _, g in b.table])
+    if isinstance(b, HRayClass):
+        return SparseRegion.make(b.exceptions, ((b.branch, b.tail),))
+    return SparseRegion.make((b.image,), ())
+
+
 @pytest.mark.parametrize(
-    "system, fresh, uncached",
-    [
-        (
-            VSystem(),
-            lambda b: VElement(b.table),
-            lambda b: BallRegion.make([g for _, g in b.table]),
-        ),
-        (
-            HoughtonSystem(3),
-            lambda b: HRayClass(b.branch, b.exceptions, b.tail),
-            lambda b: SparseRegion.make(b.exceptions, ((b.branch, b.tail),)),
-        ),
-    ],
+    "system, kinds",
+    [(VSystem(), {VElement}), (HoughtonSystem(3), {HPointClass, HRayClass})],
     ids=["v", "houghton"],
 )
-def test_cached_element_data_matches_fresh_values(system, fresh, uncached):
-    def dataclass_hash(b):
-        # The hash a frozen dataclass derives from its compared fields.
-        fields = dataclasses.fields(b)
-        return hash(tuple(getattr(b, f.name) for f in fields if f.compare))
+def test_cached_element_data_matches_fresh_values(system, kinds):
+    def compared(b):
+        return [getattr(b, f.name) for f in dataclasses.fields(b) if f.compare]
 
-    seen = 0
+    seen = []
     for b in walk_elements(system, 17):
-        if not isinstance(b, (VElement, HRayClass)):
-            continue
-        seen += 1
-        first = (b.support(), b.key(), hash(b))
+        seen.append(type(b))
+        first = (b.support(), b.key(), hash(b), b.children())
         # The second reads come from the caches.
-        assert (b.support(), b.key(), hash(b)) == first
-        c = fresh(b)
+        assert (b.support(), b.key(), hash(b), b.children()) == first
+        assert b.children() is first[3]
+        c = type(b)(*compared(b))  # the same value, with empty caches
         assert b == c and repr(b) == repr(c)
-        assert first == (c.support(), c.key(), hash(c))
-        assert b.support() == uncached(b)
-        assert hash(b) == dataclass_hash(b)
-    assert seen > 50
+        assert first == (c.support(), c.key(), hash(c), c.children())
+        assert b.support() == uncached_support(b)
+        # The hash a frozen dataclass derives from its compared fields.
+        assert hash(b) == hash(tuple(compared(b)))
+    assert set(seen) == kinds and len(seen) > 50
 
 
 def reference_validate(elements):
