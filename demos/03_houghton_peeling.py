@@ -11,7 +11,6 @@ from cubex import (
     HoughtonSystem,
     HPointClass,
     HRayClass,
-    expand_h,
 )
 
 hs = HoughtonSystem(2)
@@ -21,14 +20,14 @@ base = hs.base_vertex()
 print("base vertex (one full ray per branch):", [str(b) for b in base])
 
 ray = base.elements[0]
-point, rest = expand_h(ray)
+point, rest = ray.children()
 print("peeling", ray, "->", point, "and", rest)
 print("unique parent of the pair:", [str(b) for b in hs.coexpansions(frozenset((point, rest)))])
 
 # a ray may send points anywhere before settling into its translation
 fancy = HRayClass.make(1, [(2, 4)], 1)
 print("\nray with a cross-branch image:", fancy)
-p, r = expand_h(fancy)
+p, r = fancy.children()
 print("peeled:", p, "and", r)
 
 # two point classes never form a basin

@@ -21,8 +21,6 @@ from .core import (
     OverlappingSupports,
     Vertex,
     apply_move,
-    induced_partition,
-    restrict,
     validate_vertex,
 )
 from .cubical import (
@@ -46,7 +44,6 @@ from .houghton import (
     HRayClass,
     canonicalize_point,
     canonicalize_ray,
-    expand_h,
 )
 from .thompson import (
     BallRegion,
@@ -92,14 +89,11 @@ __all__ = [
     "canonicalize_ray",
     "cube_intersection",
     "cube_vertices",
-    "expand_h",
     "glue",
     "graph_to_dot",
     "graph_to_json_obj",
-    "induced_partition",
     "intersection_lemma_check",
     "reduce_table",
-    "restrict",
     "validate_vertex",
     "vertex_in_cube",
 ]

@@ -21,12 +21,12 @@ from .core import CapExceeded, InputError
 from .cubical import (
     CubeComplex,
     cube_intersection,
+    cube_vertices,
     graph_to_dot,
     graph_to_json_obj,
     intersection_lemma_check,
 )
 from .oracle import brute_cube_intersection
-from .cubical import cube_vertices
 
 
 def _load_json(path):
@@ -111,9 +111,7 @@ def cmd_cubes(args):
 def cmd_intersect(args):
     system, c1 = literals.parse_cube_obj(_load_json(args.cube1))
     system2, c2 = literals.parse_cube_obj(_load_json(args.cube2))
-    if type(system) is not type(system2) or getattr(
-        system, "n", None
-    ) != getattr(system2, "n", None):
+    if system.header() != system2.header():
         raise InputError("cubes belong to different instances")
     got = cube_intersection(c1, c2)
     out = {
@@ -138,9 +136,7 @@ def cmd_intersect(args):
 def cmd_join(args):
     system, v1 = literals.parse_vertex_obj(_load_json(args.vertex1))
     system2, v2 = literals.parse_vertex_obj(_load_json(args.vertex2))
-    if type(system) is not type(system2) or getattr(
-        system, "n", None
-    ) != getattr(system2, "n", None):
+    if system.header() != system2.header():
         raise InputError("vertices belong to different instances")
     cx = CubeComplex(system)
     w, p1, p2 = cx.join(v1, v2)

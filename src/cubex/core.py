@@ -128,17 +128,6 @@ def validate_vertex(elements):
     return Vertex(tuple(sorted(elements, key=lambda b: b.key())))
 
 
-def induced_partition(v):
-    """The supports of v's elements, in vertex order."""
-    return [b.support() for b in v]
-
-
-def restrict(v, b):
-    """All elements of v whose support nests inside b's support."""
-    region = b.support()
-    return [b2 for b2 in v if b2.support().is_subset(region)]
-
-
 @dataclass(frozen=True)
 class Move:
     """An expand or contract move.
@@ -234,6 +223,20 @@ class AscendingPath:
         return True
 
 
+def ascend(v, pick):
+    """The ascending path that expands, at each step, the first element of
+    the current vertex that `pick` accepts, until it accepts none."""
+    vertices = [v]
+    moves = []
+    while True:
+        target = next((b for b in vertices[-1] if pick(b)), None)
+        if target is None:
+            return AscendingPath(tuple(vertices), tuple(moves))
+        m = Move.expand(target)
+        moves.append(m)
+        vertices.append(apply_move(vertices[-1], m))
+
+
 class ExpansionSystem:
     """Operations a concrete expansion system must supply.
 
@@ -244,9 +247,23 @@ class ExpansionSystem:
     Generic code never assumes basins have size two.  The region type
     supplies `is_disjoint`, `is_subset` and a static
     `all_disjoint(regions)` that decides a whole family at once.
+
+    `moves(v)` yields every move applicable at v: first one expansion
+    per expandable element, in vertex order, then one contraction per
+    coexpansion of each subset from `contraction_candidates(v)`, in that
+    order.  The order is fixed because the seeded generators in `oracle`
+    shuffle and pick from this list, so the same seed gives the same
+    vertices and cubes only while it holds.
+
+    `header()` holds the fields that name the instance in every vertex
+    and cube literal: `instance`, plus `n` for `houghton`.  Two systems
+    are the same instance iff their headers are equal.
     """
 
     name = "?"
+
+    def header(self):
+        return {"instance": self.name}
 
     # -- required instance operations ------------------------------------
 
@@ -309,6 +326,15 @@ class ExpansionSystem:
         basins have size two.  Systems with larger basins override this.
         """
         return itertools.combinations(v, 2)
+
+    def moves(self, v):
+        """Every move applicable at v, in the order the class doc fixes."""
+        for b in v:
+            if b.children() is not None:
+                yield Move.expand(b)
+        for subset in self.contraction_candidates(v):
+            for target in self.coexpansions(frozenset(subset)):
+                yield Move.contract(target)
 
     def is_full_support(self, v):
         return self.covers_space([b.support() for b in v])

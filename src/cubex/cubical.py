@@ -147,6 +147,24 @@ def intersection_lemma_check(c1, c2):
     return LemmaReport(hypotheses, len(shared), violations)
 
 
+def _cliques(moves, max_size):
+    """Index tuples of the cliques of moves with pairwise disjoint basins,
+    up to max_size, in depth-first order from the empty clique."""
+    basins = [m.basin for m in moves]
+
+    def extend(clique, start):
+        yield tuple(clique)
+        if len(clique) >= max_size:
+            return
+        for i in range(start, len(moves)):
+            if all(basins[i].isdisjoint(basins[j]) for j in clique):
+                clique.append(i)
+                yield from extend(clique, i + 1)
+                clique.pop()
+
+    return extend([], 0)
+
+
 @dataclass(frozen=True)
 class LinkGraph:
     """Moves at a vertex, with edges between moves whose basins are disjoint."""
@@ -199,12 +217,7 @@ class CubeComplex:
 
     def moves_at(self, v):
         """All moves applicable at a full-support vertex; always finite."""
-        moves = [Move.expand(b) for b in v if b.children() is not None]
-        for subset in self.system.contraction_candidates(v):
-            for target in self.system.coexpansions(frozenset(subset)):
-                moves.append(Move.contract(target))
-        moves.sort(key=Move.sort_key)
-        return moves
+        return sorted(self.system.moves(v), key=Move.sort_key)
 
     def neighbors(self, v):
         return [(m, apply_move(v, m)) for m in self.moves_at(v)]
@@ -227,27 +240,10 @@ class CubeComplex:
         cube of the ascending star.
         """
         moves = self.moves_at(v)
-        cubes = []
-        for clique in self._cliques(moves, max_dim):
-            cubes.append(self.cube_from_moves(v, clique))
-        return cubes
-
-    def _cliques(self, moves, max_size):
-        """All cliques (by basin disjointness) of size <= max_size."""
-        basins = [m.basin for m in moves]
-
-        def extend(clique, start):
-            yield tuple(clique)
-            if len(clique) >= max_size:
-                return
-            for i in range(start, len(moves)):
-                if all(basins[i].isdisjoint(basins[j]) for j in clique):
-                    clique.append(i)
-                    yield from extend(clique, i + 1)
-                    clique.pop()
-
-        for idx in extend([], 0):
-            yield [moves[i] for i in idx]
+        return [
+            self.cube_from_moves(v, [moves[i] for i in clique])
+            for clique in _cliques(moves, max_dim)
+        ]
 
     # -- link and flag condition ---------------------------------------------
 
@@ -277,33 +273,22 @@ class CubeComplex:
         checked = 0
         two_cliques = {}
         n = len(lg.nodes)
-
-        def extend(clique, start):
-            nonlocal checked
-            if clique:
-                checked += 1
-                moves = [lg.nodes[i] for i in clique]
-                try:
-                    cube = self.cube_from_moves(v, moves)
-                    ok = vertex_in_cube(cube, v) and all(
-                        vertex_in_cube(cube, lg.neighbors[i]) for i in clique
-                    )
-                except InputError:
-                    ok = False
-                    cube = None
-                if not ok:
-                    failures.append(tuple(moves))
-                elif len(clique) == 2:
-                    two_cliques[tuple(clique)] = set(cube_vertices(cube))
-            if len(clique) >= max_clique:
-                return
-            for i in range(start, n):
-                if all(lg.adjacent(i, j) for j in clique):
-                    clique.append(i)
-                    extend(clique, i + 1)
-                    clique.pop()
-
-        extend([], 0)
+        for clique in _cliques(lg.nodes, max_clique):
+            if not clique:
+                continue
+            checked += 1
+            moves = [lg.nodes[i] for i in clique]
+            try:
+                cube = self.cube_from_moves(v, moves)
+                ok = vertex_in_cube(cube, v) and all(
+                    vertex_in_cube(cube, lg.neighbors[i]) for i in clique
+                )
+            except InputError:
+                ok = False
+            if not ok:
+                failures.append(tuple(moves))
+            elif len(clique) == 2:
+                two_cliques[clique] = set(cube_vertices(cube))
 
         mismatches = []
         for i in range(n):

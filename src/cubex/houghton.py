@@ -20,23 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    AscendingPath,
     DomainMismatch,
     ExpansionSystem,
     InputError,
-    Move,
     NotABijection,
-    apply_move,
+    ascend,
     cached_field,
     validate_vertex,
 )
 
 
 class CrossBranchTail(InputError):
-    pass
-
-
-class NoExpansion(InputError):
     pass
 
 
@@ -266,12 +260,6 @@ def canonicalize_ray(branch, images, tail, start=1, tail_branch=None):
     return HRayClass.make(branch, images, tail, tail_branch=tail_branch)
 
 
-def expand_h(b):
-    if b.children() is None:
-        raise NoExpansion("point classes admit no expansion")
-    return b.children()
-
-
 @dataclass(frozen=True)
 class HGroupElement:
     """An eventually-translation bijection of X.
@@ -402,6 +390,9 @@ class HoughtonSystem(ExpansionSystem):
             raise InputError(f"branch count must be a positive int: {n!r}")
         self.n = n
 
+    def header(self):
+        return {"instance": self.name, "n": self.n}
+
     def _check_element(self, b):
         branches = (
             [b.image[0]]
@@ -429,10 +420,17 @@ class HoughtonSystem(ExpansionSystem):
         return [HRayClass.make(r.branch, (y,) + r.exceptions, r.tail)]
 
     def covers_space(self, regions):
-        union = SparseRegion(frozenset(), ())
-        for r in regions:
-            union = union.union(r)
-        return union == SparseRegion.whole(self.n)
+        # Compared with the whole space's descriptor (no points, tail
+        # (i, 1) on each branch i) without building it: n may be huge.
+        union = SparseRegion.make(
+            [p for r in regions for p in r.points],
+            [t for r in regions for t in r.tails],
+        )
+        return (
+            not union.points
+            and len(union.tails) == self.n
+            and all(t == (i, 1) for i, t in enumerate(union.tails, start=1))
+        )
 
     def base_vertex(self):
         return validate_vertex(
@@ -440,25 +438,7 @@ class HoughtonSystem(ExpansionSystem):
         )
 
     def standardize(self, v):
-        vertices = [v]
-        moves = []
-        cur = v
-        while True:
-            target = next(
-                (
-                    b
-                    for b in cur
-                    if isinstance(b, HRayClass) and b.exceptions
-                ),
-                None,
-            )
-            if target is None:
-                break
-            m = Move.expand(target)
-            cur = apply_move(cur, m)
-            moves.append(m)
-            vertices.append(cur)
-        return AscendingPath(tuple(vertices), tuple(moves))
+        return ascend(v, lambda b: isinstance(b, HRayClass) and b.exceptions)
 
     def _standard_tails(self, s):
         starts = {}
@@ -484,33 +464,11 @@ class HoughtonSystem(ExpansionSystem):
             for q in range(1, k)
         ]
         target = validate_vertex(elements)
-        return (
-            target,
-            self._grow_path(s1, target_tails),
-            self._grow_path(s2, target_tails),
-        )
 
-    def _grow_path(self, s, target_tails):
-        vertices = [s]
-        moves = []
-        cur = s
-        while True:
-            target = next(
-                (
-                    b
-                    for b in cur
-                    if isinstance(b, HRayClass)
-                    and b.tail < target_tails[b.branch]
-                ),
-                None,
-            )
-            if target is None:
-                break
-            m = Move.expand(target)
-            cur = apply_move(cur, m)
-            moves.append(m)
-            vertices.append(cur)
-        return AscendingPath(tuple(vertices), tuple(moves))
+        def short(b):
+            return isinstance(b, HRayClass) and b.tail < target_tails[b.branch]
+
+        return target, ascend(s1, short), ascend(s2, short)
 
     def transfer(self, b1, b2):
         if isinstance(b1, HPointClass) and isinstance(b2, HPointClass):

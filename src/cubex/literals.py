@@ -38,13 +38,10 @@ def system_from_obj(obj):
 
 
 def vertex_to_obj(system, v):
-    obj = {
-        "instance": system.name,
+    return {
+        **system.header(),
         "elements": [system.element_to_obj(b) for b in v],
     }
-    if system.name == "houghton":
-        obj["n"] = system.n
-    return obj
 
 
 def _parse_elements(system, obj, field):
@@ -74,14 +71,11 @@ def parse_vertex_obj(obj):
 
 
 def cube_to_obj(system, c):
-    obj = {
-        "instance": system.name,
+    return {
+        **system.header(),
         "base": [system.element_to_obj(b) for b in c.base],
         "active": [system.element_to_obj(b) for b in c.active],
     }
-    if system.name == "houghton":
-        obj["n"] = system.n
-    return obj
 
 
 def parse_cube_obj(obj):

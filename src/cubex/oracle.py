@@ -14,9 +14,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from .core import Move, MoveNotApplicable, apply_move, validate_vertex
+from .core import MoveNotApplicable, apply_move, validate_vertex
 from . import houghton, thompson
-from .cubical import Cube, cube_vertices
+from .cubical import CubeComplex, cube_vertices
 
 
 def rng_from_seed(seed):
@@ -123,12 +123,8 @@ def random_h_group(rng, n, spread=2):
 # -- vertex and cube generators ----------------------------------------------
 
 
-def _walk_moves(system, v):
-    moves = [(b, None) for b in v if b.children() is not None]
-    for subset in itertools.combinations(v, 2):
-        for target in system.coexpansions(frozenset(subset)):
-            moves.append((target, frozenset(subset)))
-    return moves
+def _target_key(m):
+    return m.target.key()
 
 
 def random_vertex(system, rng, height_bound):
@@ -141,53 +137,36 @@ def random_vertex(system, rng, height_bound):
         )
     ceiling = height_bound + 2
     for _ in range(3 * height_bound + 8):
-        candidates = []
-        for target, basin in _walk_moves(system, v):
-            growth = (
-                len(target.children()) - 1 if basin is None else 1 - len(basin)
-            )
-            if v.height + growth <= ceiling:
-                candidates.append((target, basin))
+        # A contraction lowers the height, which never exceeds the ceiling.
+        candidates = [
+            m
+            for m in system.moves(v)
+            if m.kind == "contract"
+            or v.height + len(m.target.children()) - 1 <= ceiling
+        ]
         if not candidates:
             break
-        target, basin = rng.choice(
-            sorted(candidates, key=lambda tb: tb[0].key())
-        )
-        move = Move.expand(target) if basin is None else Move.contract(target)
-        v = apply_move(v, move)
+        v = apply_move(v, rng.choice(sorted(candidates, key=_target_key)))
     while v.height > height_bound:
-        contracts = [
-            t for t, basin in _walk_moves(system, v) if basin is not None
-        ]
-        target = rng.choice(sorted(contracts, key=lambda t: t.key()))
-        v = apply_move(v, Move.contract(target))
+        contracts = [m for m in system.moves(v) if m.kind == "contract"]
+        v = apply_move(v, rng.choice(sorted(contracts, key=_target_key)))
     while v.height < height_bound:
-        expands = [
-            t for t, basin in _walk_moves(system, v) if basin is None
-        ]
-        target = rng.choice(sorted(expands, key=lambda t: t.key()))
-        v = apply_move(v, Move.expand(target))
+        expands = [m for m in system.moves(v) if m.kind == "expand"]
+        v = apply_move(v, rng.choice(sorted(expands, key=_target_key)))
     return v
 
 
 def random_cube_at(system, rng, v, max_dim):
     """A random cube containing v, spanned by a random disjoint move set."""
-    moves = _walk_moves(system, v)
+    moves = list(system.moves(v))
     rng.shuffle(moves)
     chosen = []
-    basins = []
-    for target, basin in moves:
-        bas = basin if basin is not None else frozenset((target,))
+    for m in moves:
         if len(chosen) >= max_dim:
             break
-        if all(bas.isdisjoint(other) for other in basins):
-            chosen.append((target, basin))
-            basins.append(bas)
-    base = v
-    for target, basin in chosen:
-        if basin is not None:
-            base = apply_move(base, Move.contract(target))
-    return Cube.make(base, [t for t, _ in chosen])
+        if all(m.basin.isdisjoint(c.basin) for c in chosen):
+            chosen.append(m)
+    return CubeComplex(system).cube_from_moves(v, chosen)
 
 
 # -- brute-force verifiers -----------------------------------------------------

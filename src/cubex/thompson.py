@@ -20,15 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    AscendingPath,
     DomainMismatch,
     ExpansionSystem,
     InputError,
-    Move,
     NotABijection,
     OverlappingSupports,
     Vertex,
-    apply_move,
+    ascend,
     cached_field,
     validate_vertex,
 )
@@ -304,11 +302,6 @@ def parse_table(obj):
     return tuple(tuple(e) for e in obj)
 
 
-def expand(b):
-    """The basin of b: its left and right halves, in that order."""
-    return b.children()
-
-
 def glue(b1, b2):
     """The element whose basin is (b1, b2), with b1 under the left half."""
     if not b1.support().is_disjoint(b2.support()):
@@ -401,20 +394,7 @@ class VSystem(ExpansionSystem):
         return Vertex((VElement((("", ""),)),))
 
     def standardize(self, v):
-        vertices = [v]
-        moves = []
-        cur = v
-        while True:
-            target = next(
-                (b for b in cur if len(b.table) > 1), None
-            )
-            if target is None:
-                break
-            m = Move.expand(target)
-            cur = apply_move(cur, m)
-            moves.append(m)
-            vertices.append(cur)
-        return AscendingPath(tuple(vertices), tuple(moves))
+        return ascend(v, lambda b: len(b.table) > 1)
 
     def join_standard(self, s1, s2):
         code1 = self._standard_code(s1)
@@ -429,9 +409,11 @@ class VSystem(ExpansionSystem):
         target = validate_vertex(
             [VElement((("", w),)) for w in sorted(joined)]
         )
-        return target, self._refine_path(s1, joined), self._refine_path(
-            s2, joined
-        )
+
+        def coarser(b):
+            return b.table[0][1] not in joined
+
+        return target, ascend(s1, coarser), ascend(s2, coarser)
 
     def _standard_code(self, s):
         words = []
@@ -440,22 +422,6 @@ class VSystem(ExpansionSystem):
                 raise InputError("vertex is not standard")
             words.append(b.table[0][1])
         return words
-
-    def _refine_path(self, s, code):
-        vertices = [s]
-        moves = []
-        cur = s
-        while True:
-            target = next(
-                (b for b in cur if b.table[0][1] not in code), None
-            )
-            if target is None:
-                break
-            m = Move.expand(target)
-            cur = apply_move(cur, m)
-            moves.append(m)
-            vertices.append(cur)
-        return AscendingPath(tuple(vertices), tuple(moves))
 
     def transfer(self, b1, b2):
         return transfer(b1, b2)

@@ -214,26 +214,35 @@ def test_missing_file_is_input_error(capsys):
     assert "error" in err
 
 
-def test_intersect_rejects_mixed_instances(tmp_path, capsys):
-    c1 = write(
-        tmp_path,
-        "c1.json",
-        {"instance": "v", "base": [[["", ""]]], "active": [[["", ""]]]},
-    )
-    c2 = write(
-        tmp_path,
-        "c2.json",
-        {
-            "instance": "houghton",
-            "n": 2,
-            "base": [
-                {"branch": 1, "exceptions": [], "tail": 1},
-                {"branch": 2, "exceptions": [], "tail": 1},
-            ],
-            "active": [],
-        },
-    )
-    code, _, err = run(capsys, "intersect", c1, c2)
+def houghton_base(n):
+    return {
+        "instance": "houghton",
+        "n": n,
+        "elements": [
+            {"branch": i, "exceptions": [], "tail": 1} for i in range(1, n + 1)
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ({"instance": "v", "elements": [[["", ""]]]}, houghton_base(2)),
+        (houghton_base(2), houghton_base(3)),
+    ],
+    ids=["v-houghton", "houghton2-houghton3"],
+)
+@pytest.mark.parametrize("command", ["intersect", "join"])
+def test_commands_reject_mixed_instances(
+    tmp_path, capsys, command, first, second
+):
+    paths = []
+    for name, obj in (("a.json", first), ("b.json", second)):
+        if command == "intersect":
+            obj = dict(obj, active=[])
+            obj["base"] = obj.pop("elements")
+        paths.append(write(tmp_path, name, obj))
+    code, _, err = run(capsys, command, *paths)
     assert code == 2
     assert "different instances" in err
 

@@ -1,4 +1,4 @@
-"""Vertex construction, moves, restriction, and ascending paths."""
+"""Vertex construction, supports, moves, and ascending paths."""
 
 import pytest
 
@@ -11,8 +11,6 @@ from cubex import (
     VSystem,
     apply_move,
     glue,
-    induced_partition,
-    restrict,
     validate_vertex,
 )
 
@@ -54,7 +52,7 @@ def test_full_support():
 
 def test_induced_partition_order_and_disjointness():
     v = validate_vertex([ball("0"), ball("10"), ball("11")])
-    regions = induced_partition(v)
+    regions = [b.support() for b in v]
     assert [r.words for r in regions] == [("0",), ("10",), ("11",)]
     for i in range(len(regions)):
         for j in range(i + 1, len(regions)):
@@ -62,6 +60,10 @@ def test_induced_partition_order_and_disjointness():
 
 
 def test_restrict_prefix_containment():
+    def restrict(v, b):
+        """The elements of v whose support nests inside b's support."""
+        return [c for c in v if c.support().is_subset(b.support())]
+
     v = validate_vertex([ball("00"), ball("01"), ball("1")])
     inside = restrict(v, ball("0"))
     assert sorted(b.key() for b in inside) == ["->00", "->01"]

@@ -17,10 +17,9 @@ from cubex import (
     NotABijection,
     canonicalize_point,
     canonicalize_ray,
-    expand_h,
     validate_vertex,
 )
-from cubex.houghton import CrossBranchTail, NoExpansion, SparseRegion
+from cubex.houghton import CrossBranchTail, SparseRegion
 from cubex.oracle import (
     brute_neighbor_count,
     random_h_group,
@@ -78,19 +77,17 @@ def test_canonical_form_ignores_domain_start(seed):
 def test_point_classes_do_not_expand():
     p = HPointClass((1, 3))
     assert p.children() is None
-    with pytest.raises(NoExpansion):
-        expand_h(p)
 
 
 def test_expand_plain_ray():
-    assert expand_h(HRayClass(1, (), 1)) == (
+    assert HRayClass(1, (), 1).children() == (
         HPointClass((1, 1)),
         HRayClass(1, (), 2),
     )
 
 
 def test_expand_consumes_exception():
-    assert expand_h(HRayClass.make(1, [(2, 4)], 1)) == (
+    assert HRayClass.make(1, [(2, 4)], 1).children() == (
         HPointClass((2, 4)),
         HRayClass(1, (), 1),
     )
@@ -102,7 +99,7 @@ def test_expand_prepend_roundtrip(seed):
     rng = random.Random(seed)
     r = random_h_ray(rng, 3)
     hs = HoughtonSystem(3)
-    p, rest = expand_h(r)
+    p, rest = r.children()
     assert hs.coexpansions(frozenset((p, rest))) == [r]
     assert p.support().union(rest.support()) == r.support()
     assert p.support().is_disjoint(rest.support())
@@ -158,6 +155,33 @@ def test_full_support_detection():
         [HPointClass((1, 1)), HRayClass(1, (), 2), HRayClass(2, (), 1)]
     )
     assert h2.is_full_support(v)
+
+
+def test_covers_space_matches_the_union_of_the_regions():
+    h3 = HoughtonSystem(3)
+    rng = random.Random(5)
+    for _ in range(30):
+        v = random_vertex(h3, rng, rng.randint(3, 7))
+        for k in range(len(v) + 1):
+            regions = [b.support() for b in v.elements[:k]]
+            union = SparseRegion(frozenset(), ())
+            for r in regions:
+                union = union.union(r)
+            assert h3.covers_space(regions) == (union == SparseRegion.whole(3))
+
+
+def test_full_support_check_never_builds_the_whole_space(monkeypatch):
+    def whole(n):
+        raise AssertionError(f"built the whole space of {n} branches")
+
+    monkeypatch.setattr(SparseRegion, "whole", whole)
+    one_ray = validate_vertex([HRayClass(1, (), 1)])
+    assert not HoughtonSystem(10**12).is_full_support(one_ray)
+    assert HoughtonSystem(1).is_full_support(one_ray)
+    # a ray on a branch past n covers none of the space's branches
+    rays = validate_vertex([HRayClass(1, (), 1), HRayClass(3, (), 1)])
+    assert not h2.is_full_support(rays)
+    assert not HoughtonSystem(1).is_full_support(rays)
 
 
 # -- the group ----------------------------------------------------------------------

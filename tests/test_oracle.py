@@ -1,5 +1,6 @@
 """Generator determinism and brute-force verifier behavior."""
 
+import hashlib
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from cubex.oracle import (
     evaluate_table,
     random_code,
     random_code_by_depth,
+    random_cube_at,
     random_h_group,
     random_h_ray,
     random_v_element,
@@ -48,6 +50,40 @@ def test_fixed_seed_reproduces_streams():
     ga = random_h_group(rng_from_seed(42), 3)
     gb = random_h_group(rng_from_seed(42), 3)
     assert ga == gb
+
+
+# sha256 of the keys `stream_keys` yields for the seeds and systems below.
+# The benchmark's inputs and `cubex verify` draw on these streams, so a
+# change to the order of the move list they pick from must show here.
+STREAM_DIGEST = (
+    "a6f9748d60b6f8412653d1897069ef608bbbf28d006fe4ba911f41d7e2a0d22c"
+)
+
+
+def stream_keys(seed, system):
+    rng = rng_from_seed(seed)
+    cx = CubeComplex(system)
+    base = system.base_vertex().height
+    for height in range(base, base + 5):
+        v = random_vertex(system, rng, height)
+        w = random_vertex(system, rng, height)
+        yield v.key()
+        yield w.key()
+        for dim in (1, 2, 3):
+            yield random_cube_at(system, rng, v, dim).key()
+        top, p1, p2 = cx.join(v, w)
+        yield top.key()
+        for path in (p1, p2):
+            yield from (u.key() for u in path.vertices)
+
+
+def test_seeded_streams_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    for seed in (7, 1009):
+        for system in (VSystem(), HoughtonSystem(2), HoughtonSystem(3)):
+            for key in stream_keys(seed, system):
+                digest.update(key.encode() + b"\n")
+    assert digest.hexdigest() == STREAM_DIGEST
 
 
 def test_depth_zero_gives_identity_class():
