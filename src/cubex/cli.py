@@ -7,7 +7,7 @@ verification suite (`verify`).  Inputs come from JSON files (see
 `literals` for the schemas); results go to stdout as JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
-3 exploration cap exceeded.
+3 exploration or stabilizer cap exceeded.
 """
 
 from __future__ import annotations
@@ -191,14 +191,23 @@ def cmd_act(args):
 def cmd_stabilizer(args):
     system, v = literals.parse_vertex_obj(_load_json(args.vertex_file))
     cx = CubeComplex(system)
-    stab = cx.stabilizer(v)
+    capped = False
+    try:
+        stab = cx.stabilizer(v, cap=args.cap)
+    except CapExceeded as err:
+        stab = err.partial
+        capped = True
+        print(
+            f"cap of {args.cap} elements exceeded; writing partial stabilizer",
+            file=sys.stderr,
+        )
     _emit(
         {
             "order": len(stab),
             "elements": [system.group_to_obj(g) for g in stab],
         }
     )
-    return 0
+    return 3 if capped else 0
 
 
 def cmd_verify(args):
@@ -266,6 +275,7 @@ def build_parser():
 
     p = sub.add_parser("stabilizer", help="group elements fixing a vertex")
     p.add_argument("vertex_file")
+    p.add_argument("--cap", type=int, default=100_000)
     p.set_defaults(fn=cmd_stabilizer)
 
     p = sub.add_parser("verify", help="run the structural checks")

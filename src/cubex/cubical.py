@@ -361,39 +361,109 @@ class CubeComplex:
 
     # -- stabilizers -------------------------------------------------------------
 
-    def stabilizer(self, v):
-        """All group elements fixing v, found by assembling transfers.
+    def stabilizer(self, v, cap=100_000):
+        """All group elements fixing v, sorted by key.
 
-        For every permutation of v's elements admitting a transfer piece
-        per element, the pieces are assembled and the result is kept iff
-        it stabilizes v.  The returned list is verified to be closed
-        under composition and inversion.
+        The k x k table of `transfer(els[i], els[j])` pieces is built
+        once.  The search then walks, depth-first and in lexicographic
+        order, only the permutations whose every piece exists: exactly
+        those a loop over all k! permutations would not abandon at a
+        missing piece.  Each one is assembled, and the result is kept
+        iff it fixes v, so the list equals that loop's.  Raises
+        CapExceeded (carrying the sorted elements found so far) if more
+        than `cap` distinct elements would be collected.  The list is
+        then checked to be closed under inversion and, through the span
+        of a generating set drawn from it, under composition
+        (`_check_closed`): the same statement that checking all |G|^2
+        products makes.
         """
         els = list(v)
+        table = [[self.system.transfer(a, b) for b in els] for a in els]
         found = {}
-        for perm in itertools.permutations(range(len(els))):
-            pieces = []
-            for i, j in enumerate(perm):
-                piece = self.system.transfer(els[i], els[j])
-                if piece is None:
-                    break
-                pieces.append(piece)
-            else:
-                try:
-                    g = self.system.assemble(pieces)
-                except NotABijection:
-                    continue
-                if self.system.act_vertex(g, v) == v:
-                    found[g.key()] = g
+        for perm in _admissible(table):
+            try:
+                g = self.system.assemble(
+                    [row[j] for row, j in zip(table, perm)]
+                )
+            except NotABijection:
+                continue
+            if self.system.act_vertex(g, v) == v:
+                key = g.key()
+                if key not in found and len(found) >= cap:
+                    raise CapExceeded(
+                        f"stabilizer exceeded {cap} elements",
+                        partial=[found[k] for k in sorted(found)],
+                    )
+                found[key] = g
         group = [found[k] for k in sorted(found)]
-        members = set(found)
-        for g in group:
-            if g.inverse().key() not in members:
-                raise InputError("stabilizer not closed under inversion")
-            for h in group:
-                if (g * h).key() not in members:
-                    raise InputError("stabilizer not closed under composition")
+        _check_closed(group, self.system.identity())
         return group
+
+
+def _admissible(table):
+    """Index tuples p with `table[i][p[i]]` not None for every i: the
+    permutations admitting a piece per row, in lexicographic order."""
+    k = len(table)
+    perm = []
+    used = [False] * k
+
+    def extend(i):
+        if i == k:
+            yield tuple(perm)
+            return
+        for j in range(k):
+            if not used[j] and table[i][j] is not None:
+                used[j] = True
+                perm.append(j)
+                yield from extend(i + 1)
+                perm.pop()
+                used[j] = False
+
+    return extend(0)
+
+
+def _check_closed(group, identity):
+    """Raise InputError unless `group` is closed under inversion and
+    composition.
+
+    Inversion is checked element by element.  For composition, the
+    elements are walked in order, and one not yet in the span of the
+    generators taken so far becomes a generator; the span is then
+    regrown from the identity by right multiplication by every
+    generator, and each product must lie in the group.  At the end every
+    element lies in the span.  For a generator t, t^-1 is a member and
+    so lies in the span, and the product t^-1 * t is formed: the
+    identity is a member too.  So each h in the group is a product of
+    generators t1...tm, and g*h = (...(g*t1)...)*tm stays in the group.
+    This proves what checking all |G|^2 products proves, with about
+    |G| log2 |G| products.
+    """
+    members = {g.key() for g in group}
+    for g in group:
+        if g.inverse().key() not in members:
+            raise InputError("stabilizer not closed under inversion")
+    generators = []
+    span = {identity.key()}
+    for g in group:
+        if g.key() in span:
+            continue
+        generators.append(g)
+        span = {identity.key()}
+        frontier = [identity]
+        while frontier:
+            grown = []
+            for s in frontier:
+                for t in generators:
+                    st = s * t
+                    key = st.key()
+                    if key not in members:
+                        raise InputError(
+                            "stabilizer not closed under composition"
+                        )
+                    if key not in span:
+                        span.add(key)
+                        grown.append(st)
+            frontier = grown
 
 
 # -- exports ----------------------------------------------------------------

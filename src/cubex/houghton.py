@@ -144,11 +144,17 @@ class SparseRegion:
 class HPointClass:
     """Class of a singleton map, determined by the image point.
 
-    The support is computed on first use and kept.
+    The support and hash are computed on first use and kept.
     """
 
     image: tuple
     _support: SparseRegion = cached_field()
+    _hash: int = cached_field()
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.image,)))
+        return self._hash
 
     def support(self):
         if self._support is None:
@@ -171,7 +177,8 @@ class HPointClass:
 class HRayClass:
     """Class of a ray map: exceptional images, then a same-branch tail.
 
-    The support, children and key are computed on first use and kept.
+    The support, children, key and hash are computed on first use and
+    kept.
     """
 
     branch: int
@@ -180,6 +187,7 @@ class HRayClass:
     _support: SparseRegion = cached_field()
     _children: tuple = cached_field()
     _key: str = cached_field()
+    _hash: int = cached_field()
 
     @classmethod
     def make(cls, branch, exceptions, tail, tail_branch=None):
@@ -202,6 +210,15 @@ class HRayClass:
             exceptions = exceptions[:-1]
             tail -= 1
         return cls(branch, exceptions, tail)
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(
+                self,
+                "_hash",
+                hash((self.branch, self.exceptions, self.tail)),
+            )
+        return self._hash
 
     def support(self):
         # make(), not the raw constructor: an exceptional image sitting

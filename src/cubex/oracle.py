@@ -2,11 +2,11 @@
 
 The generators produce elements, group elements, vertices, and cubes
 deterministically from a seed (same seed, same stream, any platform).
-The brute checks re-derive neighbor counts, cube intersections, and
-square existence by plain enumeration so the main-path routines can be
-tested differentially against them; they share element types and the
-instance operations with the main path, but none of its complex-level
-logic.
+The brute checks re-derive neighbor counts, cube intersections, square
+existence and stabilizers by plain enumeration so the main-path
+routines can be tested differentially against them; they share element
+types and the instance operations with the main path, but none of its
+complex-level logic.
 """
 
 from __future__ import annotations
@@ -14,7 +14,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from .core import MoveNotApplicable, apply_move, validate_vertex
+from .core import (
+    InputError,
+    MoveNotApplicable,
+    NotABijection,
+    apply_move,
+    validate_vertex,
+)
 from . import houghton, thompson
 from .cubical import CubeComplex, cube_vertices
 
@@ -240,3 +246,34 @@ def brute_square_test(system, v, m1, m2):
     except MoveNotApplicable:
         return False
     return diag1 == diag2
+
+
+def brute_stabilizer(system, v):
+    """All group elements fixing v, sorted by key, by trying every one of
+    the k! permutations of v's elements and checking closure on all
+    |G|^2 products."""
+    els = list(v)
+    found = {}
+    for perm in itertools.permutations(range(len(els))):
+        pieces = []
+        for i, j in enumerate(perm):
+            piece = system.transfer(els[i], els[j])
+            if piece is None:
+                break
+            pieces.append(piece)
+        else:
+            try:
+                g = system.assemble(pieces)
+            except NotABijection:
+                continue
+            if system.act_vertex(g, v) == v:
+                found[g.key()] = g
+    group = [found[k] for k in sorted(found)]
+    members = set(found)
+    for g in group:
+        if g.inverse().key() not in members:
+            raise InputError("stabilizer not closed under inversion")
+        for h in group:
+            if (g * h).key() not in members:
+                raise InputError("stabilizer not closed under composition")
+    return group

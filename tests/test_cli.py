@@ -184,6 +184,14 @@ def test_stabilizer(fig, capsys):
     assert json.loads(out)["order"] == 6
 
 
+def test_stabilizer_cap_writes_partial_group_and_exits_3(fig, capsys):
+    code, out, err = run(capsys, "stabilizer", fig, "--cap", "4")
+    assert code == 3
+    data = json.loads(out)
+    assert data["order"] == 4 and len(data["elements"]) == 4
+    assert err.startswith("cap of 4 elements") and len(err.splitlines()) == 1
+
+
 def test_verify_single_check(capsys):
     code, out, _ = run(
         capsys, "verify", "square-cube", "--seed", "7"

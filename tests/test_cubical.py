@@ -15,6 +15,7 @@ from cubex import (
     InputError,
     Move,
     VElement,
+    VGroupElement,
     VSystem,
     apply_move,
     cube_intersection,
@@ -25,10 +26,12 @@ from cubex import (
     validate_vertex,
     vertex_in_cube,
 )
+from cubex.cubical import _check_closed
 from cubex.oracle import (
     brute_cube_intersection,
     brute_neighbor_count,
     brute_square_test,
+    brute_stabilizer,
     random_cube_at,
     random_vertex,
     rng_from_seed,
@@ -327,6 +330,64 @@ def test_stabilizer_order_is_height_factorial(seed):
     k = rng.randint(3, 5)
     v = random_vertex(vs, rng, k)
     assert len(cx.stabilizer(v)) == math.factorial(k)
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@pytest.mark.parametrize(
+    "system",
+    [VSystem(), HoughtonSystem(2), HoughtonSystem(3)],
+    ids=["v", "houghton2", "houghton3"],
+)
+def test_stabilizer_matches_brute(system, seed):
+    rng = rng_from_seed(seed)
+    complex_ = CubeComplex(system)
+    for h in range(system.base_vertex().height, 6):
+        v = random_vertex(system, rng, h)
+        assert complex_.stabilizer(v) == brute_stabilizer(system, v), h
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        # Dropping or swapping out an involution keeps every inverse in
+        # the set, so only the composition check can catch it.
+        ("drop-involution", "composition"),
+        ("swap-in-non-member", "composition"),
+        ("drop-identity", "composition"),
+        ("drop-3-cycle", "inversion"),
+    ],
+)
+def test_closure_check_raises_on_sets_that_are_not_closed(case, message):
+    v = random_vertex(vs, rng_from_seed(7), 3)
+    stab = cx.stabilizer(v)
+    identity = vs.identity()
+    _check_closed(stab, identity)
+    involution = next(g for g in stab if g != identity and g * g == identity)
+    three_cycle = next(g for g in stab if g * g != identity)
+    dropped = {
+        "drop-involution": involution,
+        "swap-in-non-member": involution,
+        "drop-identity": identity,
+        "drop-3-cycle": three_cycle,
+    }[case]
+    broken = [g for g in stab if g != dropped]
+    if case == "swap-in-non-member":
+        swap = VGroupElement.from_table([("0", "1"), ("1", "0")])
+        assert swap == swap.inverse() and swap not in stab
+        broken = sorted(broken + [swap], key=VGroupElement.key)
+    assert len(broken) == 6 - (case != "swap-in-non-member")
+    with pytest.raises(InputError, match=f"not closed under {message}"):
+        _check_closed(broken, identity)
+
+
+def test_stabilizer_cap():
+    v = random_vertex(vs, rng_from_seed(7), 9)
+    with pytest.raises(CapExceeded) as err:
+        cx.stabilizer(v, cap=5)
+    partial = err.value.partial
+    assert len(partial) == 5
+    assert [g.key() for g in partial] == sorted(g.key() for g in partial)
+    assert all(vs.act_vertex(g, v) == v for g in partial)
 
 
 def test_seed_validation():

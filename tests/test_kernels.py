@@ -186,6 +186,7 @@ def test_cached_element_data_matches_fresh_values(system, kinds):
         # The second reads come from the caches.
         assert (b.support(), b.key(), hash(b), b.children()) == first
         assert b.children() is first[3]
+        assert b._hash == first[2]  # the hash is cached, not derived anew
         c = type(b)(*compared(b))  # the same value, with empty caches
         assert b == c and repr(b) == repr(c)
         assert first == (c.support(), c.key(), hash(c), c.children())
