@@ -42,6 +42,19 @@ def _emit(obj):
     sys.stdout.write("\n")
 
 
+# The least value each size flag accepts.  The square check of
+# `link --check-flag` needs the 2-cliques.
+_LEAST = {"radius": 0, "max_dim": 0, "cap": 0, "samples": 1, "max_clique": 2}
+
+
+def _check_sizes(args):
+    for name, least in _LEAST.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            flag = "--" + name.replace("_", "-")
+            raise InputError(f"{flag} must be at least {least}, not {value}")
+
+
 def _system_from_flags(args):
     return literals.get_system(args.instance, args.n)
 
@@ -214,6 +227,10 @@ def cmd_verify(args):
     names = None if args.what == "all" else {args.what}
     if names and args.what not in {n for n, _ in verify.ALL_CHECKS}:
         raise InputError(f"unknown check {args.what!r}")
+    if not 0 <= args.seed < 1 << 64:
+        raise InputError(
+            f"--seed must be a 64-bit unsigned int, not {args.seed}"
+        )
     results = verify.run_all(args.seed, samples=args.samples, names=names)
     for r in results:
         print(r.line())
@@ -290,6 +307,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _check_sizes(args)
         return args.fn(args)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -114,16 +114,16 @@ def validate_vertex(elements):
     elements = list(elements)
     supports = [b.support() for b in elements]
     # The region type's one-sweep kernel decides the whole family at
-    # once.  Only when it, or the set of elements, shows a problem does
-    # the pairwise scan run, to name the first offending pair.
-    if len(set(elements)) < len(elements) or (
-        supports and not type(supports[0]).all_disjoint(supports)
-    ):
+    # once.  Supports are never empty, so a repeated element overlaps
+    # itself and fails the sweep too.  Only then does the pairwise scan
+    # run, with the same kernel, to name the first offending pair.
+    if supports and not type(supports[0]).all_disjoint(supports):
+        all_disjoint = type(supports[0]).all_disjoint
         for i in range(len(elements)):
             for j in range(i + 1, len(elements)):
                 if elements[i] == elements[j]:
                     raise DuplicateElement(i, j)
-                if not supports[i].is_disjoint(supports[j]):
+                if not all_disjoint((supports[i], supports[j])):
                     raise OverlappingSupports(i, j)
     return Vertex(tuple(sorted(elements, key=lambda b: b.key())))
 
@@ -245,8 +245,10 @@ class ExpansionSystem:
     system's region type, and `children()` returning the ordered basin
     (length >= 2) or None when the element admits no proper expansion.
     Generic code never assumes basins have size two.  The region type
-    supplies `is_disjoint`, `is_subset` and a static
-    `all_disjoint(regions)` that decides a whole family at once.
+    supplies a normalizing `make` and a static `all_disjoint(regions)`,
+    the one kernel that decides whether a family of supports overlaps.
+    Supports are never empty, which `validate_vertex` relies on: a
+    repeated element overlaps itself, so the same sweep catches it.
 
     `moves(v)` yields every move applicable at v: first one expansion
     per expandable element, in vertex order, then one contraction per

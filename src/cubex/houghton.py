@@ -49,11 +49,6 @@ def check_point(p):
     return p
 
 
-def _in_tail(p, starts):
-    """True iff point p lies in a tail; `starts` maps branch to tail start."""
-    return p[0] in starts and p[1] >= starts[p[0]]
-
-
 @dataclass(frozen=True)
 class SparseRegion:
     """A region of X: finitely many points plus at most one tail per branch.
@@ -67,42 +62,19 @@ class SparseRegion:
 
     @classmethod
     def make(cls, points, tails):
+        """Normalize in one pass: lowering a tail over the points just
+        below it stops at a gap, and absorbing the points inside a tail
+        adds none, so a second pass would change nothing."""
         pts = set(points)
         starts = {}
         for i, k in tails:
             starts[i] = min(starts.get(i, k), k)
-        changed = True
-        while changed:
-            changed = False
-            for i in list(starts):
-                k = starts[i]
-                while k > 1 and (i, k - 1) in pts:
-                    pts.discard((i, k - 1))
-                    k -= 1
-                    changed = True
-                starts[i] = k
-            absorbed = {
-                p for p in pts if p[0] in starts and p[1] >= starts[p[0]]
-            }
-            if absorbed:
-                pts -= absorbed
-                changed = True
+        for i, k in starts.items():
+            while k > 1 and (i, k - 1) in pts:
+                k -= 1
+            starts[i] = k
+        pts = {(i, m) for i, m in pts if i not in starts or m < starts[i]}
         return cls(frozenset(pts), tuple(sorted(starts.items())))
-
-    @classmethod
-    def whole(cls, n):
-        return cls(frozenset(), tuple((i, 1) for i in range(1, n + 1)))
-
-    def is_disjoint(self, other):
-        mine = dict(self.tails)
-        theirs = dict(other.tails)
-        if mine.keys() & theirs.keys():
-            return False
-        if self.points & other.points:
-            return False
-        if any(_in_tail(p, theirs) for p in self.points):
-            return False
-        return not any(_in_tail(p, mine) for p in other.points)
 
     @staticmethod
     def all_disjoint(regions):
@@ -123,21 +95,10 @@ class SparseRegion:
             count += len(r.points)
         if len(points) < count:
             return False
-        return not any(_in_tail(p, starts) for p in points)
-
-    def is_subset(self, other):
-        starts = dict(other.tails)
-        for i, k in self.tails:
-            if i not in starts or starts[i] > k:
+        for i, m in points:
+            if i in starts and m >= starts[i]:
                 return False
-        return all(
-            p in other.points or _in_tail(p, starts) for p in self.points
-        )
-
-    def union(self, other):
-        return SparseRegion.make(
-            self.points | other.points, self.tails + other.tails
-        )
+        return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -429,12 +390,9 @@ class HoughtonSystem(ExpansionSystem):
         if len(points) != 1 or len(rays) != 1:
             return []
         p, r = points[0], rays[0]
-        y = p.image
-        if y in r.exceptions:
+        if not SparseRegion.all_disjoint((p.support(), r.support())):
             return []
-        if y[0] == r.branch and y[1] >= r.tail:
-            return []
-        return [HRayClass.make(r.branch, (y,) + r.exceptions, r.tail)]
+        return [HRayClass.make(r.branch, (p.image,) + r.exceptions, r.tail)]
 
     def covers_space(self, regions):
         # Compared with the whole space's descriptor (no points, tail

@@ -6,9 +6,10 @@ sends `B_w1 -> B_w2` by replacing the prefix w1 with w2, and elements
 here are classes of finite disjoint unions of such maps, up to
 precomposition with a prefix substitution of the domain.  Each class has
 a unique canonical representative: a reduced table over domain X whose
-domain words form a complete prefix code and whose image words are
-pairwise incomparable.  Full-support vertices built from these classes
-generate the cubical complex on which Thompson's group V acts.
+domain words form a complete prefix code and whose image words form an
+antichain, none a prefix of another.  Full-support vertices built from
+these classes generate the cubical complex on which Thompson's group V
+acts.
 
 Tables are tuples of (domain word, image word) pairs, sorted by domain
 word; the reduced form merges any sibling pair (d0 -> g0), (d1 -> g1)
@@ -49,25 +50,21 @@ def check_word(w):
     return w
 
 
-def comparable(u, w):
-    return u.startswith(w) or w.startswith(u)
-
-
-def check_antichain(words, exc=OverlappingImages):
+def _nested_pair(words):
+    """The first adjacent pair (a, b) of the sorted words with a a prefix
+    of b, or None.  A word's extensions follow it directly in sorted
+    order, so any nested pair shows up, and so does a repeated word."""
     ws = sorted(words)
-    for a, b in zip(ws, ws[1:]):
-        if b.startswith(a):
-            raise exc(f"words {a!r} and {b!r} are nested")
+    return next(
+        ((a, b) for a, b in zip(ws, ws[1:]) if b.startswith(a)), None
+    )
 
 
 def is_complete_code(words):
     """True iff the balls named by `words` partition the whole space."""
-    ws = sorted(words)
-    if len(ws) != len(set(ws)):
+    ws = list(words)
+    if _nested_pair(ws):
         return False
-    for a, b in zip(ws, ws[1:]):
-        if b.startswith(a):
-            return False
     top = max((len(w) for w in ws), default=0)
     return sum(1 << (top - len(w)) for w in ws) == 1 << top
 
@@ -106,38 +103,14 @@ class BallRegion:
     def make(cls, words):
         return cls(_normalize_words(words))
 
-    @classmethod
-    def whole(cls):
-        return cls(("",))
-
-    def is_whole(self):
-        return self.words == ("",)
-
-    def is_disjoint(self, other):
-        return not any(
-            comparable(u, w) for u in self.words for w in other.words
-        )
-
     @staticmethod
     def all_disjoint(regions):
         """True iff the regions are pairwise disjoint, in one sorted sweep.
 
-        In sorted order a word's extensions follow it directly, so any
-        two comparable words show up as an adjacent comparable pair; each
-        region's own words are an antichain, so such a pair always spans
-        two regions.
+        Each region's own words are an antichain, so a nested pair always
+        spans two regions.
         """
-        words = sorted(w for r in regions for w in r.words)
-        return not any(b.startswith(a) for a, b in zip(words, words[1:]))
-
-    def is_subset(self, other):
-        # A reduced antichain covers B_w iff it contains a prefix of w.
-        return all(
-            any(w.startswith(u) for u in other.words) for w in self.words
-        )
-
-    def union(self, other):
-        return BallRegion.make(self.words + other.words)
+        return _nested_pair(w for r in regions for w in r.words) is None
 
 
 # -- tables ---------------------------------------------------------------
@@ -174,14 +147,17 @@ def reduce_table(entries):
     """Validate a raw table and return its unique reduced, sorted form.
 
     The domain words must form a complete prefix code (the table is total
-    on X) and the image words must be pairwise incomparable.
+    on X) and no image word may be a prefix of another.
     """
     entries = tuple((check_word(d), check_word(g)) for d, g in entries)
     if not is_complete_code([d for d, _ in entries]):
         raise IncompleteDomainCode(
             "domain words do not partition the space"
         )
-    check_antichain([g for _, g in entries])
+    pair = _nested_pair(g for _, g in entries)
+    if pair:
+        a, b = pair
+        raise OverlappingImages(f"words {a!r} and {b!r} are nested")
     return _merge_sorted(sorted(entries))
 
 
@@ -304,8 +280,13 @@ def parse_table(obj):
 
 def glue(b1, b2):
     """The element whose basin is (b1, b2), with b1 under the left half."""
-    if not b1.support().is_disjoint(b2.support()):
+    if not BallRegion.all_disjoint((b1.support(), b2.support())):
         raise OverlappingSupports(0, 1)
+    return _glued(b1, b2)
+
+
+def _glued(b1, b2):
+    """`glue` without the disjointness check, for callers that made it."""
     entries = tuple(("0" + d, g) for d, g in b1.table) + tuple(
         ("1" + d, g) for d, g in b2.table
     )
@@ -350,18 +331,6 @@ def act(g, b):
     return VElement(compose_entries(g.table, b.table))
 
 
-def apply_group_to_region(g, region):
-    """Image of a region under a group element."""
-    words = []
-    for w in region.words:
-        for c, d in g.table:
-            if w.startswith(c):
-                words.append(d + w[len(c):])
-            elif c.startswith(w):
-                words.append(d)
-    return BallRegion.make(words)
-
-
 def transfer(b1, b2):
     """The unique partial map carrying supp(b1) to supp(b2) with g·b1 = b2.
 
@@ -380,15 +349,12 @@ class VSystem(ExpansionSystem):
         if len(els) != 2:
             return []
         b1, b2 = els
-        if not b1.support().is_disjoint(b2.support()):
+        if not BallRegion.all_disjoint((b1.support(), b2.support())):
             return []
-        return [glue(b1, b2), glue(b2, b1)]
+        return [_glued(b1, b2), _glued(b2, b1)]
 
     def covers_space(self, regions):
-        union = BallRegion.make(
-            [w for r in regions for w in r.words]
-        )
-        return union.is_whole()
+        return _normalize_words(w for r in regions for w in r.words) == ("",)
 
     def base_vertex(self):
         return Vertex((VElement((("", ""),)),))

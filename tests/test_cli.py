@@ -332,3 +332,33 @@ def test_malformed_houghton_group_literal_is_input_error(
         },
     )
     assert_input_error(*run(capsys, "act", g, v))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bfs", "--radius", "-1"),
+        ("cubes", "--max-dim", "-1"),
+        ("bfs", "--radius", "1", "--cap", "-1"),
+        ("stabilizer", "--cap", "-1"),
+        ("link", "--check-flag", "--max-clique", "1"),
+    ],
+    ids=["radius", "max-dim", "bfs-cap", "stabilizer-cap", "max-clique"],
+)
+def test_size_below_its_range_is_input_error(fig, capsys, argv):
+    code, out, err = run(capsys, argv[0], fig, *argv[1:])
+    assert_input_error(code, out, err)
+    assert f"{argv[-2]} must be at least" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--seed", "7", "--samples", "0"),
+        ("--seed", "-1"),
+        ("--seed", str(1 << 64)),
+    ],
+    ids=["samples", "negative-seed", "seed-past-64-bits"],
+)
+def test_verify_rejects_bad_seed_or_samples_up_front(capsys, argv):
+    assert_input_error(*run(capsys, "verify", "all", *argv))

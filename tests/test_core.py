@@ -13,6 +13,7 @@ from cubex import (
     glue,
     validate_vertex,
 )
+from cubex.thompson import BallRegion
 
 
 def ball(w):
@@ -54,15 +55,22 @@ def test_induced_partition_order_and_disjointness():
     v = validate_vertex([ball("0"), ball("10"), ball("11")])
     regions = [b.support() for b in v]
     assert [r.words for r in regions] == [("0",), ("10",), ("11",)]
+    assert BallRegion.all_disjoint(regions)
     for i in range(len(regions)):
         for j in range(i + 1, len(regions)):
-            assert regions[i].is_disjoint(regions[j])
+            assert BallRegion.all_disjoint((regions[i], regions[j]))
 
 
 def test_restrict_prefix_containment():
     def restrict(v, b):
-        """The elements of v whose support nests inside b's support."""
-        return [c for c in v if c.support().is_subset(b.support())]
+        """The elements of v whose support nests inside b's support: those
+        whose words, joined to b's, leave b's unchanged."""
+        words = b.support().words
+        return [
+            c
+            for c in v
+            if BallRegion.make(c.support().words + words).words == words
+        ]
 
     v = validate_vertex([ball("00"), ball("01"), ball("1")])
     inside = restrict(v, ball("0"))

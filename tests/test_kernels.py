@@ -1,11 +1,18 @@
 """Differential tests for the region kernels and the cached element data.
 
-Each fast kernel is compared, on seeded data, with a brute computation
-that shares none of its logic: ball words by the depth-6 words they
-cover, sparse regions by enumerating their points, cached supports,
-keys, hashes and children by freshly built values, the one-sweep
-`all_disjoint` kernels by every-pair `is_disjoint`, and `validate_vertex`
-by the plain pairwise scan it replaced.
+A region type supplies two operations: a normalizing `make` and a static
+`all_disjoint(regions)`, the one kernel that decides whether supports
+overlap.  Supports are never empty, so an element overlaps itself, and
+`validate_vertex` relies on this to catch a repeated element in the same
+sweep.
+
+Each kernel is compared, on seeded data, with a brute computation that
+shares none of its logic, which reads a region as a finite set: ball
+words as the leaves they cover at a fixed depth, sparse regions as their
+enumerated points.  `make` must name the same set as its input, in
+normal form; `all_disjoint` must agree with every pair of those sets;
+`validate_vertex` with a pairwise scan over them; and cached supports,
+keys, hashes and children with freshly built values.
 """
 
 import dataclasses
@@ -35,15 +42,15 @@ WORDS = [
     for n in range(DEPTH + 1)
     for bits in itertools.product("01", repeat=n)
 ]
-# The depth-6 words below each word of length <= 6.
-LEAVES = {
-    w: frozenset(u for u in WORDS if len(u) == DEPTH and u.startswith(w))
-    for w in WORDS
-}
 
 
-def covered(words):
-    return frozenset().union(*(LEAVES[w] for w in words))
+def leaves(words, depth):
+    """The depth-`depth` words below `words`, each read as a binary number."""
+    out = set()
+    for w in words:
+        low = int("0" + w, 2) << (depth - len(w))
+        out.update(range(low, low + (1 << (depth - len(w)))))
+    return frozenset(out)
 
 
 def test_normalize_words_matches_depth6_coverage():
@@ -55,7 +62,7 @@ def test_normalize_words_matches_depth6_coverage():
         if rng.random() < 0.5:
             words += [w + "0", w + "1"]
         out = _normalize_words(words)
-        assert covered(out) == covered(words), words
+        assert leaves(out, DEPTH) == leaves(words, DEPTH), words
         assert list(out) == sorted(set(out))
         for u, w in itertools.combinations(out, 2):
             assert not (u.startswith(w) or w.startswith(u)), (words, out)
@@ -64,7 +71,8 @@ def test_normalize_words_matches_depth6_coverage():
             ), (words, out)
 
 
-def random_sparse_region(rng, n):
+def raw_sparse(rng, n):
+    """Points and tails that `SparseRegion.make` has not yet normalized."""
     points = {
         (rng.randint(1, n), rng.randint(1, 6))
         for _ in range(rng.randint(0, 4))
@@ -72,32 +80,63 @@ def random_sparse_region(rng, n):
     tails = [
         (i, rng.randint(1, 7)) for i in range(1, n + 1) if rng.random() < 0.4
     ]
-    return SparseRegion.make(points, tails)
+    return points, tails
 
 
-def enumerate_points(region, top, n):
-    starts = dict(region.tails)
-    return {
+def random_sparse_region(rng, n):
+    return SparseRegion.make(*raw_sparse(rng, n))
+
+
+def enumerate_points(points, tails, top):
+    """The points at positions up to `top` that the points and the
+    (branch, start) tails name; a branch may have several tails."""
+    branches = {i for i, _ in points} | {i for i, _ in tails}
+    return frozenset(
         (i, p)
-        for i in range(1, n + 1)
+        for i in branches
         for p in range(1, top + 1)
-        if (i, p) in region.points or (i in starts and p >= starts[i])
-    }
+        if (i, p) in points or any(j == i and p >= k for j, k in tails)
+    )
+
+
+def as_sets(regions):
+    """Each region as a finite set: a ball region as the leaves below its
+    words at the family's greatest depth, a sparse region as its points
+    up to two past the highest position the family names."""
+    if all(isinstance(r, BallRegion) for r in regions):
+        depth = max(len(w) for r in regions for w in r.words)
+        return [leaves(r.words, depth) for r in regions]
+    top = 2 + max(
+        (p for r in regions for _, p in (*r.points, *r.tails)), default=0
+    )
+    return [enumerate_points(r.points, r.tails, top) for r in regions]
 
 
 def test_sparse_region_kernels_match_enumeration():
     rng = rng_from_seed(13)
     for _ in range(5_000):
         n = rng.randint(1, 3)
-        a, b = random_sparse_region(rng, n), random_sparse_region(rng, n)
+        raws = [raw_sparse(rng, n), raw_sparse(rng, n)]
+        a, b = (SparseRegion.make(*raw) for raw in raws)
         top = 2 + max(
-            [p for _, p in a.points | b.points]
-            + [k for _, k in a.tails + b.tails]
-            + [0]
+            [p for raw in raws for _, p in (*raw[0], *raw[1])] + [0]
         )
-        pa, pb = enumerate_points(a, top, n), enumerate_points(b, top, n)
-        assert a.is_disjoint(b) == (not pa & pb), (a, b)
-        assert a.is_subset(b) == (pa <= pb), (a, b)
+        pa = enumerate_points(a.points, a.tails, top)
+        pb = enumerate_points(b.points, b.tails, top)
+        assert SparseRegion.all_disjoint((a, b)) == (not pa & pb), (a, b)
+        # `make` names the points its input names, in normal form: one
+        # sorted tail per branch, no point inside a tail or just below
+        # it.  The joined input gives a branch two tails.
+        joined = (raws[0][0] | raws[1][0], raws[0][1] + raws[1][1])
+        for points, tails in raws + [joined]:
+            r = SparseRegion.make(points, tails)
+            want = enumerate_points(points, tails, top)
+            assert enumerate_points(r.points, r.tails, top) == want, r
+            starts = dict(r.tails)
+            assert list(r.tails) == sorted(starts.items()), r
+            assert not any(
+                i in starts and p >= starts[i] - 1 for i, p in r.points
+            ), r
 
 
 def disjoint_families(system, stray, seed):
@@ -143,7 +182,7 @@ def test_all_disjoint_matches_every_pair(system, region_type, stray):
     outcomes = []
     for family in disjoint_families(system, stray, 29):
         want = all(
-            a.is_disjoint(b) for a, b in itertools.combinations(family, 2)
+            not a & b for a, b in itertools.combinations(as_sets(family), 2)
         )
         assert region_type.all_disjoint(family) == want, family
         outcomes.append(want)
@@ -198,11 +237,12 @@ def test_cached_element_data_matches_fresh_values(system, kinds):
 
 def reference_validate(elements):
     """The pairwise scan `validate_vertex` must agree with, error for error."""
+    sets = as_sets([b.support() for b in elements])
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
             if elements[i] == elements[j]:
                 return DuplicateElement, (i, j)
-            if not elements[i].support().is_disjoint(elements[j].support()):
+            if sets[i] & sets[j]:
                 return OverlappingSupports, (i, j)
     return None, None
 
