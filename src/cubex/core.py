@@ -329,13 +329,27 @@ class ExpansionSystem:
         """
         return itertools.combinations(v, 2)
 
-    def moves(self, v):
-        """Every move applicable at v, in the order the class doc fixes."""
+    def moves(self, v, glued=None):
+        """Every move applicable at v, in the order the class doc fixes.
+
+        `glued` maps each candidate basin already asked about to its
+        `coexpansions` list.  A caller that walks many vertices passes
+        one dict, so a basin shared by several of them is glued once and
+        its targets are the same objects, caches filled, at each; with
+        no dict, each call starts a fresh one.  Reuse is safe because
+        `coexpansions` is pure and elements are immutable.
+        """
+        if glued is None:
+            glued = {}
         for b in v:
             if b.children() is not None:
                 yield Move.expand(b)
         for subset in self.contraction_candidates(v):
-            for target in self.coexpansions(frozenset(subset)):
+            basin = frozenset(subset)
+            targets = glued.get(basin)
+            if targets is None:
+                targets = glued[basin] = self.coexpansions(basin)
+            for target in targets:
                 yield Move.contract(target)
 
     def is_full_support(self, v):

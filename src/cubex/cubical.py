@@ -215,9 +215,12 @@ class CubeComplex:
 
     # -- moves and neighbors ----------------------------------------------
 
-    def moves_at(self, v):
-        """All moves applicable at a full-support vertex; always finite."""
-        return sorted(self.system.moves(v), key=Move.sort_key)
+    def moves_at(self, v, glued=None):
+        """All moves applicable at a full-support vertex; always finite.
+
+        `glued` is passed on to `ExpansionSystem.moves`.
+        """
+        return sorted(self.system.moves(v, glued), key=Move.sort_key)
 
     def neighbors(self, v):
         return [(m, apply_move(v, m)) for m in self.moves_at(v)]
@@ -326,7 +329,17 @@ class CubeComplex:
         Deterministic for a fixed start: frontiers are expanded in
         canonical vertex order.  Raises CapExceeded (carrying the partial
         graph) if more than `cap` vertices would be collected.
+
+        One `glued` dict (see `ExpansionSystem.moves`) serves the whole
+        traversal, so each candidate basin is glued, and its
+        disjointness decided, once per call rather than once per
+        frontier vertex that holds it.  It has at most one entry per
+        candidate of a frontier vertex, so `cap` bounds it too, and it
+        is dropped on return: nothing is kept between calls.  Every
+        neighbour is still built through `apply_move` and
+        `validate_vertex`.
         """
+        glued = {}
         index = {start: 0}
         order = [start]
         edges = set()
@@ -335,7 +348,8 @@ class CubeComplex:
             frontier.sort(key=Vertex.key)
             next_frontier = []
             for v in frontier:
-                for _, w in self.neighbors(v):
+                for m in self.moves_at(v, glued):
+                    w = apply_move(v, m)
                     if w not in index:
                         if len(order) >= cap:
                             raise CapExceeded(

@@ -364,7 +364,8 @@ class HoughtonSystem(ExpansionSystem):
     name = "houghton"
 
     def __init__(self, n=2):
-        if not isinstance(n, int) or n < 1:
+        # `bool` is an `int`, but a JSON `true` is no branch count.
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise InputError(f"branch count must be a positive int: {n!r}")
         self.n = n
 

@@ -215,7 +215,12 @@ def brute_cube_intersection(c1, c2):
 
 
 def brute_neighbor_count(system, v):
-    """Count adjacent vertices by exhaustive move application and dedupe.
+    """The number of `brute_neighbors` of v."""
+    return len(brute_neighbors(system, v))
+
+
+def brute_neighbors(system, v):
+    """The adjacent vertices, by exhaustive move application and dedupe.
 
     Considers expansions of every element and contractions of every
     subset of size >= 2, so it does not rely on the main path's
@@ -233,7 +238,7 @@ def brute_neighbor_count(system, v):
             for target in system.coexpansions(frozenset(subset)):
                 rest = [x for x in v if x not in set(subset)]
                 seen.add(validate_vertex(rest + [target]))
-    return len(seen)
+    return seen
 
 
 def brute_square_test(system, v, m1, m2):

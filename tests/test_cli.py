@@ -362,3 +362,18 @@ def test_size_below_its_range_is_input_error(fig, capsys, argv):
 )
 def test_verify_rejects_bad_seed_or_samples_up_front(capsys, argv):
     assert_input_error(*run(capsys, "verify", "all", *argv))
+
+
+def test_boolean_branch_count_is_input_error(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "v.json",
+        {
+            "instance": "houghton",
+            "n": True,
+            "elements": [{"branch": 1, "exceptions": [], "tail": 1}],
+        },
+    )
+    code, out, err = run(capsys, "cubes", "--max-dim", "0", path)
+    assert_input_error(code, out, err)
+    assert "branch count" in err

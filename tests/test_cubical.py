@@ -30,6 +30,7 @@ from cubex.cubical import _check_closed
 from cubex.oracle import (
     brute_cube_intersection,
     brute_neighbor_count,
+    brute_neighbors,
     brute_square_test,
     brute_stabilizer,
     random_cube_at,
@@ -312,6 +313,120 @@ def test_bfs_cap():
         cx.bfs(base, 4, cap=5)
     assert err.value.partial is not None
     assert len(err.value.partial.vertices) == 5
+
+
+def _graph_sets(graph):
+    """The vertex set and the edge set (as vertex pairs) of a BFS graph."""
+    vertices = graph.vertices
+    return set(vertices), {
+        frozenset((vertices[i], vertices[j])) for i, j in graph.edges
+    }
+
+
+def _depths(graph):
+    """Each vertex of a BFS graph with its distance from the start."""
+    adjacent = {i: [] for i in range(len(graph.vertices))}
+    for i, j in graph.edges:
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    depth = {0: 0}
+    frontier = [0]
+    while frontier:
+        grown = []
+        for i in frontier:
+            for j in adjacent[i]:
+                if j not in depth:
+                    depth[j] = depth[i] + 1
+                    grown.append(j)
+        frontier = grown
+    return {graph.vertices[i]: d for i, d in depth.items()}
+
+
+def _brute_ball(system, start, radius):
+    """The ball's vertex and edge sets from `children()` and `coexpansions`
+    over all element subsets alone, with no `cubical` code."""
+    seen = {start}
+    frontier = [start]
+    edges = set()
+    for _ in range(radius):
+        grown = []
+        for v in frontier:
+            for w in brute_neighbors(system, v):
+                edges.add(frozenset((v, w)))
+                if w not in seen:
+                    seen.add(w)
+                    grown.append(w)
+        frontier = grown
+    return seen, edges
+
+
+# A fresh system per test, so a test may wrap its methods.
+_SYSTEMS = {
+    "v": VSystem,
+    "houghton2": lambda: HoughtonSystem(2),
+    "houghton3": lambda: HoughtonSystem(3),
+}
+
+
+def _seeded_start(system, seed):
+    height = system.base_vertex().height + 2
+    return random_vertex(system, rng_from_seed(seed), height)
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+@pytest.mark.parametrize("seed", [7, 1009])
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_bfs_matches_brute_ball(name, seed, radius):
+    system = _SYSTEMS[name]()
+    start = _seeded_start(system, seed)
+    graph = CubeComplex(system).bfs(start, radius)
+    assert _graph_sets(graph) == _brute_ball(system, start, radius)
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_bfs_glues_each_candidate_basin_once(name):
+    system = _SYSTEMS[name]()
+    start = _seeded_start(system, 7)
+    asked = []
+    coexpansions = system.coexpansions
+
+    def counting(elements):
+        asked.append(elements)
+        return coexpansions(elements)
+
+    system.coexpansions = counting
+    complex_ = CubeComplex(system)
+    state = (dict(vars(system)), dict(vars(complex_)))
+    graph = complex_.bfs(start, 3)
+    # The basins a radius-3 traversal asks about: the candidates of
+    # every vertex it expands, i.e. of every vertex closer than 3.
+    expected = {
+        frozenset(subset)
+        for v, d in _depths(graph).items()
+        if d < 3
+        for subset in system.contraction_candidates(v)
+    }
+    assert len(asked) == len(set(asked)) == len(expected)
+    assert set(asked) == expected
+    # Nothing is kept between traversals: neither object gained state,
+    # and a second traversal asks about every basin again, once.
+    assert (vars(system), vars(complex_)) == state
+    asked.clear()
+    assert complex_.bfs(start, 3) == graph
+    assert len(asked) == len(expected) and set(asked) == expected
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_moves_with_a_shared_dict_equal_moves_with_a_fresh_one(name):
+    system = _SYSTEMS[name]()
+    graph = CubeComplex(system).bfs(_seeded_start(system, 1009), 3)
+    glued = {}
+    candidates = 0
+    for v in graph.vertices:
+        assert list(system.moves(v, glued)) == list(system.moves(v))
+        candidates += sum(1 for _ in system.contraction_candidates(v))
+    # The shared dict was hit, not just filled.
+    assert len(glued) < candidates
 
 
 # -- stabilizers -------------------------------------------------------------------------------

@@ -368,3 +368,10 @@ def test_branch_count_validation():
         HoughtonSystem(0)
     with pytest.raises(InputError):
         h2.parse_element([3, 1])
+
+
+def test_branch_count_rejects_a_bool():
+    # `bool` is an `int`, so `True` would otherwise pass as n = 1.
+    for n in (True, False):
+        with pytest.raises(InputError):
+            HoughtonSystem(n)
