@@ -18,6 +18,7 @@ shared freely across workers.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -125,7 +126,11 @@ def validate_vertex(elements):
                     raise DuplicateElement(i, j)
                 if not all_disjoint((supports[i], supports[j])):
                     raise OverlappingSupports(i, j)
-    return Vertex(tuple(sorted(elements, key=lambda b: b.key())))
+    return Vertex(tuple(sorted(elements, key=_element_key)))
+
+
+def _element_key(b):
+    return b.key()
 
 
 @dataclass(frozen=True)
@@ -158,26 +163,45 @@ class Move:
         return (self.kind, self.target.key())
 
 
+def _vertex_from_sorted(rest, new):
+    """A Vertex of `rest`, already in key order, and the elements `new`.
+
+    Each new element is put in key order among the others; there is no
+    set, disjointness sweep or sort.  Only moves and cube corners build
+    through this, since their elements are disjoint by construction (see
+    `apply_move`).
+    """
+    elements = list(rest)
+    for b in new:
+        bisect.insort(elements, b, key=_element_key)
+    return Vertex(tuple(elements))
+
+
 def apply_move(v, m):
-    """Apply a move to a vertex, returning the neighboring vertex."""
+    """Apply a move to a vertex, returning the neighboring vertex.
+
+    The neighbour is not validated again.  Children tile their parent
+    (see `ExpansionSystem`), so trading an element of v for its basin,
+    or a basin inside v for its parent, keeps the supports pairwise
+    disjoint and their union unchanged.
+    """
+    if m.kind not in ("expand", "contract"):
+        raise MoveNotApplicable(f"unknown move kind {m.kind!r}")
+    kids = m.target.children()
+    members = v.as_set()
     if m.kind == "expand":
-        kids = m.target.children()
-        if m.target not in v:
+        if m.target not in members:
             raise MoveNotApplicable("expansion target not in vertex")
         if kids is None:
             raise MoveNotApplicable("element has no expansion")
-        rest = [b for b in v if b != m.target]
-        return validate_vertex(rest + list(kids))
-    if m.kind == "contract":
-        kids = m.target.children()
+        gone, new = {m.target}, kids
+    else:
         if kids is None:
             raise MoveNotApplicable("contraction target has no basin")
-        if not all(c in v for c in kids):
+        if not all(c in members for c in kids):
             raise MoveNotApplicable("basin not contained in vertex")
-        basin = set(kids)
-        rest = [b for b in v if b not in basin]
-        return validate_vertex(rest + [m.target])
-    raise MoveNotApplicable(f"unknown move kind {m.kind!r}")
+        gone, new = set(kids), (m.target,)
+    return _vertex_from_sorted([b for b in v if b not in gone], new)
 
 
 @dataclass(frozen=True)
@@ -244,11 +268,17 @@ class ExpansionSystem:
     hash-equality matching class equality, `support()` returning the
     system's region type, and `children()` returning the ordered basin
     (length >= 2) or None when the element admits no proper expansion.
-    Generic code never assumes basins have size two.  The region type
-    supplies a normalizing `make` and a static `all_disjoint(regions)`,
-    the one kernel that decides whether a family of supports overlaps.
-    Supports are never empty, which `validate_vertex` relies on: a
-    repeated element overlaps itself, so the same sweep catches it.
+    Generic code never assumes basins have size two.  Two facts of the
+    construction hold in every system: the supports of an element's
+    children tile its support, and the support of each coexpansion of
+    a basin is the union of the basin's supports.  `apply_move` and the
+    corners of a cube rely on both to skip `validate_vertex`.
+
+    The region type supplies a normalizing `make` and a static
+    `all_disjoint(regions)`, the one kernel that decides whether a
+    family of supports overlaps.  Supports are never empty, which
+    `validate_vertex` relies on: a repeated element overlaps itself, so
+    the same sweep catches it.
 
     `moves(v)` yields every move applicable at v: first one expansion
     per expandable element, in vertex order, then one contraction per

@@ -21,8 +21,8 @@ from .core import (
     Move,
     NotABijection,
     Vertex,
+    _vertex_from_sorted,
     apply_move,
-    validate_vertex,
 )
 
 
@@ -56,13 +56,13 @@ def cube_vertices(c):
     out = []
     for r in range(c.dim + 1):
         for on in itertools.combinations(c.active, r):
-            elements = []
-            for b in c.base:
-                if b in on:
-                    elements.extend(b.children())
-                else:
-                    elements.append(b)
-            out.append(validate_vertex(elements))
+            expanded = set(on)
+            out.append(
+                _vertex_from_sorted(
+                    [b for b in c.base if b not in expanded],
+                    [kid for b in on for kid in b.children()],
+                )
+            )
     out.sort(key=Vertex.key)
     if len(set(out)) != len(out):
         raise InputError("cube has coincident corners")
@@ -336,8 +336,8 @@ class CubeComplex:
         frontier vertex that holds it.  It has at most one entry per
         candidate of a frontier vertex, so `cap` bounds it too, and it
         is dropped on return: nothing is kept between calls.  Every
-        neighbour is still built through `apply_move` and
-        `validate_vertex`.
+        neighbour is built by `apply_move`, which does not validate it
+        again: a move keeps the supports disjoint by construction.
         """
         glued = {}
         index = {start: 0}

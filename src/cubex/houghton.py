@@ -105,11 +105,12 @@ class SparseRegion:
 class HPointClass:
     """Class of a singleton map, determined by the image point.
 
-    The support and hash are computed on first use and kept.
+    The support, key and hash are computed on first use and kept.
     """
 
     image: tuple
     _support: SparseRegion = cached_field()
+    _key: str = cached_field()
     _hash: int = cached_field()
 
     def __hash__(self):
@@ -128,7 +129,11 @@ class HPointClass:
         return None
 
     def key(self):
-        return f"p{self.image[0]}.{self.image[1]}"
+        if self._key is None:
+            object.__setattr__(
+                self, "_key", f"p{self.image[0]}.{self.image[1]}"
+            )
+        return self._key
 
     def __str__(self):
         return self.key()
@@ -167,6 +172,12 @@ class HRayClass:
             raise InputError("exceptional images must be distinct")
         if any(i == branch and m >= tail for i, m in exceptions):
             raise InputError("exceptional image inside the tail")
+        return cls._reduced(branch, exceptions, tail)
+
+    @classmethod
+    def _reduced(cls, branch, exceptions, tail):
+        """The canonical form of ray data that `make` would accept: only
+        its last step, which lowers the tail over trailing exceptions."""
         while exceptions and exceptions[-1] == (branch, tail - 1):
             exceptions = exceptions[:-1]
             tail -= 1
@@ -199,10 +210,10 @@ class HRayClass:
         """Peel the first point: (point class, shifted ray class)."""
         if self._children is None:
             if self.exceptions:
+                # Dropping the first exception of a canonical ray keeps
+                # it canonical.
                 first = self.exceptions[0]
-                rest = HRayClass.make(
-                    self.branch, self.exceptions[1:], self.tail
-                )
+                rest = HRayClass(self.branch, self.exceptions[1:], self.tail)
             else:
                 first = (self.branch, self.tail)
                 rest = HRayClass(self.branch, (), self.tail + 1)
@@ -266,14 +277,21 @@ class HGroupElement:
                 raise InputError(f"branch out of range in {x} -> {y}")
             if exc.setdefault(x, y) != y:
                 raise NotABijection(f"point {x} mapped twice")
-        # drop entries that agree with the eventual translation
-        for x in list(exc):
-            i, p = x
-            if p + offsets[i - 1] >= 1 and exc[x] == (i, p + offsets[i - 1]):
-                del exc[x]
-        g = cls(n, offsets, tuple(sorted(exc.items())))
+        g = cls._normalized(n, offsets, exc.items())
         g._check_bijection()
         return g
+
+    @classmethod
+    def _normalized(cls, n, offsets, pairs):
+        """`make` without its checks, for the products and inverses of
+        bijections: only the entries that agree with the eventual
+        translation are dropped."""
+        exc = {
+            (i, p): y
+            for (i, p), y in pairs
+            if not (p + offsets[i - 1] >= 1 and y == (i, p + offsets[i - 1]))
+        }
+        return cls(n, offsets, tuple(sorted(exc.items())))
 
     def _check_bijection(self):
         # Positions 1..t of a branch with offset t > 0 are no translate's
@@ -322,7 +340,7 @@ class HGroupElement:
         return (i, q - self.offsets[i - 1])
 
     def inverse(self):
-        return HGroupElement.make(
+        return HGroupElement._normalized(
             self.n,
             tuple(-t for t in self.offsets),
             tuple((y, x) for x, y in self.exceptions),
@@ -337,7 +355,7 @@ class HGroupElement:
         candidates = {x for x, _ in other.exceptions}
         candidates |= {other.preimage(x) for x, _ in self.exceptions}
         exc = {x: self.apply(other.apply(x)) for x in candidates}
-        return HGroupElement.make(self.n, offsets, exc.items())
+        return HGroupElement._normalized(self.n, offsets, exc.items())
 
     def key(self):
         exc = ";".join(
@@ -393,7 +411,10 @@ class HoughtonSystem(ExpansionSystem):
         p, r = points[0], rays[0]
         if not SparseRegion.all_disjoint((p.support(), r.support())):
             return []
-        return [HRayClass.make(r.branch, (p.image,) + r.exceptions, r.tail)]
+        # p lies outside r's support, so the data is valid as it stands.
+        return [
+            HRayClass._reduced(r.branch, (p.image,) + r.exceptions, r.tail)
+        ]
 
     def covers_space(self, regions):
         # Compared with the whole space's descriptor (no points, tail

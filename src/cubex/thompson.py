@@ -208,18 +208,20 @@ class VElement:
         return self._support
 
     def children(self):
-        """The two halves: restrictions to B_0 and B_1, canonicalized."""
+        """The two halves: restrictions to B_0 and B_1, transported to X.
+
+        A mergeable sibling pair in a half would be one in the table too,
+        so the restriction of a reduced table is already reduced.
+        """
         if self._children is None:
             t = self.table
             if len(t) == 1:
                 ((_, g),) = t
                 kids = (VElement((("", g + "0"),)), VElement((("", g + "1"),)))
             else:
-                left = tuple((d[1:], g) for d, g in t if d[0] == "0")
-                right = tuple((d[1:], g) for d, g in t if d[0] == "1")
                 kids = (
-                    VElement(_merge_sorted(left)),
-                    VElement(_merge_sorted(right)),
+                    VElement(tuple((d[1:], g) for d, g in t if d[0] == "0")),
+                    VElement(tuple((d[1:], g) for d, g in t if d[0] == "1")),
                 )
             object.__setattr__(self, "_children", kids)
         return self._children

@@ -26,6 +26,7 @@ from cubex.oracle import (
     random_h_point,
     random_h_ray,
     random_vertex,
+    rng_from_seed,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -246,6 +247,44 @@ def test_group_axioms(seed):
         x = (rng.randint(1, n), rng.randint(1, 12))
         assert (g * h).apply(x) == g.apply(h.apply(x))
         assert g.preimage(g.apply(x)) == x
+
+
+def pointwise(n, offsets, f, gs):
+    """`HGroupElement.make` of the map f, given point by point on every
+    position up to where the elements gs stop deviating from a
+    translation, and by `offsets` beyond."""
+    top = 1 + sum(abs(t) for g in gs for t in g.offsets) + max(
+        (p for g in gs for pair in g.exceptions for _, p in pair), default=0
+    )
+    return HGroupElement.make(
+        n,
+        offsets,
+        {
+            (i, p): f((i, p))
+            for i in range(1, n + 1)
+            for p in range(1, top + 1)
+        },
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [7, 1009])
+def test_products_and_inverses_match_make(n, seed):
+    # Products and inverses skip the bijection check.  Seeded elements
+    # with nonzero offsets join the stabilizer, whose offsets are all 0.
+    hs = HoughtonSystem(n)
+    rng = rng_from_seed(seed)
+    group = CubeComplex(hs).stabilizer(random_vertex(hs, rng, n + 4))
+    assert len(group) == 24
+    elements = group + [random_h_group(rng, n) for _ in range(6)]
+    assert any(any(g.offsets) for g in elements)
+    for g in elements:
+        negated = tuple(-t for t in g.offsets)
+        assert g.inverse() == pointwise(n, negated, g.preimage, [g])
+        for h in elements:
+            offsets = tuple(a + b for a, b in zip(g.offsets, h.offsets))
+            want = pointwise(n, offsets, lambda x: g.apply(h.apply(x)), [g, h])
+            assert g * h == want, (g, h)
 
 
 @given(seeds)

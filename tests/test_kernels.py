@@ -13,6 +13,11 @@ enumerated points.  `make` must name the same set as its input, in
 normal form; `all_disjoint` must agree with every pair of those sets;
 `validate_vertex` with a pairwise scan over them; and cached supports,
 keys, hashes and children with freshly built values.
+
+Moves, cube corners, halves, peeled rays and coexpansions are built
+without a check, since construction already makes them valid and
+canonical.  Each is compared, on seeded walks, with what the checked
+builder (`validate_vertex`, `HRayClass.make`) returns on the same data.
 """
 
 import dataclasses
@@ -25,16 +30,19 @@ from cubex import (
     HoughtonSystem,
     HPointClass,
     HRayClass,
+    InputError,
     Move,
     OverlappingSupports,
+    Vertex,
     VElement,
     VSystem,
     apply_move,
+    cube_vertices,
     validate_vertex,
 )
 from cubex.houghton import SparseRegion
-from cubex.oracle import random_vertex, rng_from_seed
-from cubex.thompson import BallRegion, _normalize_words
+from cubex.oracle import random_cube_at, random_vertex, rng_from_seed
+from cubex.thompson import BallRegion, _merge_sorted, _normalize_words
 
 DEPTH = 6
 WORDS = [
@@ -225,7 +233,8 @@ def test_cached_element_data_matches_fresh_values(system, kinds):
         # The second reads come from the caches.
         assert (b.support(), b.key(), hash(b), b.children()) == first
         assert b.children() is first[3]
-        assert b._hash == first[2]  # the hash is cached, not derived anew
+        # The key and hash are cached, not derived anew.
+        assert b._key == first[1] and b._hash == first[2]
         c = type(b)(*compared(b))  # the same value, with empty caches
         assert b == c and repr(b) == repr(c)
         assert first == (c.support(), c.key(), hash(c), c.children())
@@ -280,3 +289,94 @@ def test_vertex_hash_is_the_hash_of_its_elements():
             w = validate_vertex(list(reversed(v.elements)))
             assert hash(v) == hash((v.elements,)) == hash(w)
             assert v == w and repr(v) == repr(w)
+
+
+SEEDS = [7, 1009]
+SYSTEMS = pytest.mark.parametrize(
+    "system",
+    [VSystem(), HoughtonSystem(2), HoughtonSystem(3)],
+    ids=["v", "houghton2", "houghton3"],
+)
+
+
+def checked_corners(c, rng):
+    """The corners of a cube, each through `validate_vertex` from its
+    elements in a shuffled order, sorted by key."""
+    out = []
+    for r in range(c.dim + 1):
+        for on in itertools.combinations(c.active, r):
+            elements = [b for b in c.base if b not in on]
+            elements += [kid for b in on for kid in b.children()]
+            rng.shuffle(elements)
+            out.append(validate_vertex(elements))
+    return sorted(out, key=Vertex.key)
+
+
+@SYSTEMS
+@pytest.mark.parametrize("seed", SEEDS)
+def test_moves_and_corners_match_validate_vertex(system, seed):
+    # Equal element tuples: the same elements in the same order.
+    rng = rng_from_seed(seed)
+    low = system.base_vertex().height
+    built = {"expand": 0, "contract": 0, "corner": 0}
+    for h in range(low, low + 6):
+        v = random_vertex(system, rng, h)
+        for m in system.moves(v):
+            elements = [b for b in v if b not in m.basin]
+            if m.kind == "expand":
+                elements += m.target.children()
+            else:
+                elements.append(m.target)
+            rng.shuffle(elements)
+            assert apply_move(v, m).elements == (
+                validate_vertex(elements).elements
+            ), (v, m)
+            built[m.kind] += 1
+        for dim in (1, 2, 3):
+            c = random_cube_at(system, rng, v, dim)
+            corners = cube_vertices(c)
+            assert [w.elements for w in corners] == [
+                w.elements for w in checked_corners(c, rng)
+            ], c
+            built["corner"] += len(corners)
+    assert min(built.values()) > 10, built
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_halves_of_reduced_tables_are_reduced(seed):
+    halves = 0
+    for b in walk_elements(VSystem(), seed):
+        for kid in b.children():
+            assert _merge_sorted(kid.table) == kid.table, (b, kid)
+            assert list(kid.table) == sorted(kid.table), (b, kid)
+            halves += len(kid.table) > 1
+    assert halves > 10
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ray_children_and_coexpansions_match_make(n, seed):
+    system = HoughtonSystem(n)
+    pool = set(walk_elements(system, seed))
+    rays = [b for b in pool if isinstance(b, HRayClass)]
+    points = [b for b in pool if isinstance(b, HPointClass)]
+    peeled = 0
+    for r in rays:
+        if r.exceptions:
+            want = HRayClass.make(r.branch, r.exceptions[1:], r.tail)
+            assert r.children()[1] == want, r
+            peeled += 1
+    glued = 0
+    for p in points:
+        for r in rays:
+            # `make` refuses the data exactly when p meets r's support:
+            # p is one of r's exceptions or lies in its tail.
+            try:
+                want = [
+                    HRayClass.make(r.branch, (p.image,) + r.exceptions, r.tail)
+                ]
+            except InputError:
+                want = []
+            assert system.coexpansions((p, r)) == want, (p, r)
+            glued += bool(want)
+    assert peeled > 5 and glued > 50 and glued < len(points) * len(rays)
