@@ -18,7 +18,6 @@ shared freely across workers.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -126,6 +125,15 @@ def validate_vertex(elements):
                     raise DuplicateElement(i, j)
                 if not all_disjoint((supports[i], supports[j])):
                     raise OverlappingSupports(i, j)
+    return _vertex_unchecked(elements)
+
+
+def _vertex_unchecked(elements):
+    """A Vertex of `elements`, put in key order but not checked.
+
+    Only for elements disjoint by construction, such as the corners of
+    a cube (see `ExpansionSystem`).
+    """
     return Vertex(tuple(sorted(elements, key=_element_key)))
 
 
@@ -159,31 +167,23 @@ class Move:
             return frozenset((self.target,))
         return frozenset(self.target.children())
 
+    def after(self, members):
+        """The element set left once the move replaces its basin in
+        `members`, a frozenset that holds the basin; nothing is checked."""
+        one, kids = (self.target,), self.target.children()
+        if self.kind == "expand":
+            return members.difference(one).union(kids)
+        return members.difference(kids).union(one)
+
     def sort_key(self):
         return (self.kind, self.target.key())
-
-
-def _vertex_from_sorted(rest, new):
-    """A Vertex of `rest`, already in key order, and the elements `new`.
-
-    Each new element is put in key order among the others; there is no
-    set, disjointness sweep or sort.  Only moves and cube corners build
-    through this, since their elements are disjoint by construction (see
-    `apply_move`).
-    """
-    elements = list(rest)
-    for b in new:
-        bisect.insort(elements, b, key=_element_key)
-    return Vertex(tuple(elements))
 
 
 def apply_move(v, m):
     """Apply a move to a vertex, returning the neighboring vertex.
 
-    The neighbour is not validated again.  Children tile their parent
-    (see `ExpansionSystem`), so trading an element of v for its basin,
-    or a basin inside v for its parent, keeps the supports pairwise
-    disjoint and their union unchanged.
+    The neighbour's elements are `m.after(v.as_set())`; `validate_vertex`
+    checks them and puts them in order.
     """
     if m.kind not in ("expand", "contract"):
         raise MoveNotApplicable(f"unknown move kind {m.kind!r}")
@@ -194,14 +194,12 @@ def apply_move(v, m):
             raise MoveNotApplicable("expansion target not in vertex")
         if kids is None:
             raise MoveNotApplicable("element has no expansion")
-        gone, new = {m.target}, kids
     else:
         if kids is None:
             raise MoveNotApplicable("contraction target has no basin")
-        if not all(c in members for c in kids):
+        if not members.issuperset(kids):
             raise MoveNotApplicable("basin not contained in vertex")
-        gone, new = set(kids), (m.target,)
-    return _vertex_from_sorted([b for b in v if b not in gone], new)
+    return validate_vertex(m.after(members))
 
 
 @dataclass(frozen=True)
@@ -271,8 +269,9 @@ class ExpansionSystem:
     Generic code never assumes basins have size two.  Two facts of the
     construction hold in every system: the supports of an element's
     children tile its support, and the support of each coexpansion of
-    a basin is the union of the basin's supports.  `apply_move` and the
-    corners of a cube rely on both to skip `validate_vertex`.
+    a basin is the union of the basin's supports.  So moves keep a
+    vertex's supports pairwise disjoint, and the corners of a cube,
+    which are reached from its base by moves, skip `validate_vertex`.
 
     The region type supplies a normalizing `make` and a static
     `all_disjoint(regions)`, the one kernel that decides whether a

@@ -21,7 +21,7 @@ from .core import (
     Move,
     NotABijection,
     Vertex,
-    _vertex_from_sorted,
+    _vertex_unchecked,
     apply_move,
 )
 
@@ -56,13 +56,9 @@ def cube_vertices(c):
     out = []
     for r in range(c.dim + 1):
         for on in itertools.combinations(c.active, r):
-            expanded = set(on)
-            out.append(
-                _vertex_from_sorted(
-                    [b for b in c.base if b not in expanded],
-                    [kid for b in on for kid in b.children()],
-                )
-            )
+            elements = [b for b in c.base if b not in on]
+            elements += [kid for b in on for kid in b.children()]
+            out.append(_vertex_unchecked(elements))
     out.sort(key=Vertex.key)
     if len(set(out)) != len(out):
         raise InputError("cube has coincident corners")
@@ -335,12 +331,16 @@ class CubeComplex:
         disjointness decided, once per call rather than once per
         frontier vertex that holds it.  It has at most one entry per
         candidate of a frontier vertex, so `cap` bounds it too, and it
-        is dropped on return: nothing is kept between calls.  Every
-        neighbour is built by `apply_move`, which does not validate it
-        again: a move keeps the supports disjoint by construction.
+        is dropped on return: nothing is kept between calls.
+
+        Vertices are indexed by their element sets.  A move's neighbour
+        is looked up by `Move.after` before anything is built, so each
+        vertex of the ball is built once, by `apply_move` and
+        `validate_vertex`, when it is first reached; an edge back to a
+        known vertex builds nothing.
         """
         glued = {}
-        index = {start: 0}
+        index = {start.as_set(): 0}
         order = [start]
         edges = set()
         frontier = [start]
@@ -348,18 +348,21 @@ class CubeComplex:
             frontier.sort(key=Vertex.key)
             next_frontier = []
             for v in frontier:
+                members = v.as_set()
+                a = index[members]
                 for m in self.moves_at(v, glued):
-                    w = apply_move(v, m)
-                    if w not in index:
+                    after = m.after(members)
+                    b = index.get(after)
+                    if b is None:
                         if len(order) >= cap:
                             raise CapExceeded(
                                 f"exploration exceeded {cap} vertices",
                                 partial=self._graph(order, edges, radius),
                             )
-                        index[w] = len(order)
+                        w = apply_move(v, m)
+                        b = index[after] = len(order)
                         order.append(w)
                         next_frontier.append(w)
-                    a, b = index[v], index[w]
                     edges.add((min(a, b), max(a, b)))
             frontier = next_frontier
         return self._graph(order, edges, radius)

@@ -411,10 +411,11 @@ class HoughtonSystem(ExpansionSystem):
         p, r = points[0], rays[0]
         if not SparseRegion.all_disjoint((p.support(), r.support())):
             return []
-        # p lies outside r's support, so the data is valid as it stands.
-        return [
-            HRayClass._reduced(r.branch, (p.image,) + r.exceptions, r.tail)
-        ]
+        # p lies outside r's support, so the data is valid as it stands,
+        # and peeling the glued ray gives back p and r.
+        glued = HRayClass._reduced(r.branch, (p.image,) + r.exceptions, r.tail)
+        object.__setattr__(glued, "_children", (p, r))
+        return [glued]
 
     def covers_space(self, regions):
         # Compared with the whole space's descriptor (no points, tail

@@ -22,7 +22,7 @@ from .core import (
     validate_vertex,
 )
 from . import houghton, thompson
-from .cubical import CubeComplex, cube_vertices
+from .cubical import CubeComplex
 
 
 def rng_from_seed(seed):
@@ -210,8 +210,20 @@ def evaluate_ray(branch, images, tail, start, position):
 
 
 def brute_cube_intersection(c1, c2):
-    """Literal set intersection of the two cubes' vertex lists."""
-    return set(cube_vertices(c1)) & set(cube_vertices(c2))
+    """Literal set intersection of the two cubes' vertex sets."""
+    return brute_corners(c1) & brute_corners(c2)
+
+
+def brute_corners(c):
+    """The set of a cube's corners, each built by `validate_vertex` from
+    the base with one subset of the active elements expanded."""
+    out = set()
+    for r in range(c.dim + 1):
+        for on in itertools.combinations(c.active, r):
+            elements = [b for b in c.base if b not in on]
+            elements += [kid for b in on for kid in b.children()]
+            out.add(validate_vertex(elements))
+    return out
 
 
 def brute_neighbor_count(system, v):

@@ -288,11 +288,17 @@ def glue(b1, b2):
 
 
 def _glued(b1, b2):
-    """`glue` without the disjointness check, for callers that made it."""
+    """`glue` without the disjointness check, for callers that made it.
+
+    The halves of the result are b1 and b2, so they fill its children
+    cache.
+    """
     entries = tuple(("0" + d, g) for d, g in b1.table) + tuple(
         ("1" + d, g) for d, g in b2.table
     )
-    return VElement(_merge_sorted(entries))
+    glued = VElement(_merge_sorted(entries))
+    object.__setattr__(glued, "_children", (b1, b2))
+    return glued
 
 
 # -- the group ------------------------------------------------------------

@@ -14,10 +14,12 @@ normal form; `all_disjoint` must agree with every pair of those sets;
 `validate_vertex` with a pairwise scan over them; and cached supports,
 keys, hashes and children with freshly built values.
 
-Moves, cube corners, halves, peeled rays and coexpansions are built
-without a check, since construction already makes them valid and
-canonical.  Each is compared, on seeded walks, with what the checked
-builder (`validate_vertex`, `HRayClass.make`) returns on the same data.
+Cube corners, halves, peeled rays and coexpansions are built without a
+check, since construction already makes them valid and canonical.  Each
+is compared, on seeded walks, with what the checked builder
+(`validate_vertex`, `HRayClass.make`) returns on the same data; so are
+moves, which build through `validate_vertex` from an element set, and
+the basin a coexpansion keeps as its children.
 """
 
 import dataclasses
@@ -41,7 +43,12 @@ from cubex import (
     validate_vertex,
 )
 from cubex.houghton import SparseRegion
-from cubex.oracle import random_cube_at, random_vertex, rng_from_seed
+from cubex.oracle import (
+    brute_corners,
+    random_cube_at,
+    random_vertex,
+    rng_from_seed,
+)
 from cubex.thompson import BallRegion, _merge_sorted, _normalize_words
 
 DEPTH = 6
@@ -217,15 +224,16 @@ def uncached_support(b):
     return SparseRegion.make((b.image,), ())
 
 
+def compared(b):
+    return [getattr(b, f.name) for f in dataclasses.fields(b) if f.compare]
+
+
 @pytest.mark.parametrize(
     "system, kinds",
     [(VSystem(), {VElement}), (HoughtonSystem(3), {HPointClass, HRayClass})],
     ids=["v", "houghton"],
 )
 def test_cached_element_data_matches_fresh_values(system, kinds):
-    def compared(b):
-        return [getattr(b, f.name) for f in dataclasses.fields(b) if f.compare]
-
     seen = []
     for b in walk_elements(system, 17):
         seen.append(type(b))
@@ -299,19 +307,6 @@ SYSTEMS = pytest.mark.parametrize(
 )
 
 
-def checked_corners(c, rng):
-    """The corners of a cube, each through `validate_vertex` from its
-    elements in a shuffled order, sorted by key."""
-    out = []
-    for r in range(c.dim + 1):
-        for on in itertools.combinations(c.active, r):
-            elements = [b for b in c.base if b not in on]
-            elements += [kid for b in on for kid in b.children()]
-            rng.shuffle(elements)
-            out.append(validate_vertex(elements))
-    return sorted(out, key=Vertex.key)
-
-
 @SYSTEMS
 @pytest.mark.parametrize("seed", SEEDS)
 def test_moves_and_corners_match_validate_vertex(system, seed):
@@ -336,7 +331,7 @@ def test_moves_and_corners_match_validate_vertex(system, seed):
             c = random_cube_at(system, rng, v, dim)
             corners = cube_vertices(c)
             assert [w.elements for w in corners] == [
-                w.elements for w in checked_corners(c, rng)
+                w.elements for w in sorted(brute_corners(c), key=Vertex.key)
             ], c
             built["corner"] += len(corners)
     assert min(built.values()) > 10, built
@@ -380,3 +375,22 @@ def test_ray_children_and_coexpansions_match_make(n, seed):
             assert system.coexpansions((p, r)) == want, (p, r)
             glued += bool(want)
     assert peeled > 5 and glued > 50 and glued < len(points) * len(rays)
+
+
+@SYSTEMS
+@pytest.mark.parametrize("seed", SEEDS)
+def test_coexpansion_children_match_fresh_values(system, seed):
+    # A coexpansion starts with its basin in the children cache.
+    rng = rng_from_seed(seed)
+    low = system.base_vertex().height
+    glued = 0
+    for h in range(low, low + 6):
+        v = random_vertex(system, rng, h)
+        for m in system.moves(v):
+            if m.kind == "contract":
+                t = m.target
+                fresh = type(t)(*compared(t))  # the same value, no caches
+                assert t.children() == fresh.children(), (v, m)
+                assert v.as_set().issuperset(t.children())
+                glued += 1
+    assert glued > 10
