@@ -55,12 +55,18 @@ def _check_sizes(args):
             raise InputError(f"{flag} must be at least {least}, not {value}")
 
 
-def _system_from_flags(args):
-    return literals.get_system(args.instance, args.n)
+def _capped(call, message):
+    """`call()` and False; or, once the call exceeds its cap, the
+    partial result and True, with `message` as one line on stderr."""
+    try:
+        return call(), False
+    except CapExceeded as err:
+        print(message, file=sys.stderr)
+        return err.partial, True
 
 
 def cmd_canon(args):
-    system = _system_from_flags(args)
+    system = literals.get_system(args.instance, args.n)
     b = system.parse_element(_load_json(args.element_file))
     _emit(system.element_to_obj(b))
     return 0
@@ -166,16 +172,10 @@ def cmd_join(args):
 def cmd_bfs(args):
     system, v = literals.parse_vertex_obj(_load_json(args.vertex_file))
     cx = CubeComplex(system)
-    capped = False
-    try:
-        graph = cx.bfs(v, args.radius, cap=args.cap)
-    except CapExceeded as err:
-        graph = err.partial
-        capped = True
-        print(
-            f"cap of {args.cap} vertices exceeded; writing partial graph",
-            file=sys.stderr,
-        )
+    graph, capped = _capped(
+        lambda: cx.bfs(v, args.radius, cap=args.cap),
+        f"cap of {args.cap} vertices exceeded; writing partial graph",
+    )
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(graph_to_dot(graph))
@@ -204,16 +204,10 @@ def cmd_act(args):
 def cmd_stabilizer(args):
     system, v = literals.parse_vertex_obj(_load_json(args.vertex_file))
     cx = CubeComplex(system)
-    capped = False
-    try:
-        stab = cx.stabilizer(v, cap=args.cap)
-    except CapExceeded as err:
-        stab = err.partial
-        capped = True
-        print(
-            f"cap of {args.cap} elements exceeded; writing partial stabilizer",
-            file=sys.stderr,
-        )
+    stab, capped = _capped(
+        lambda: cx.stabilizer(v, cap=args.cap),
+        f"cap of {args.cap} elements exceeded; writing partial stabilizer",
+    )
     _emit(
         {
             "order": len(stab),

@@ -73,12 +73,13 @@ class Vertex:
 
     Elements are stored sorted by their canonical serialization, so equal
     vertices compare and serialize identically.  The height of a vertex
-    is its number of elements.  The hash is computed on first use and
-    kept.
+    is its number of elements.  The hash and the member set are computed
+    on first use and kept.
     """
 
     elements: tuple
     _hash: int = cached_field()
+    _set: frozenset = cached_field()
 
     def __hash__(self):
         if self._hash is None:
@@ -102,7 +103,9 @@ class Vertex:
         return "|".join(b.key() for b in self.elements)
 
     def as_set(self):
-        return frozenset(self.elements)
+        if self._set is None:
+            object.__setattr__(self, "_set", frozenset(self.elements))
+        return self._set
 
 
 def validate_vertex(elements):
@@ -141,65 +144,61 @@ def _element_key(b):
     return b.key()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
-    """An expand or contract move.
+    """An expand or contract move, with the two element sets it swaps.
 
-    kind "expand": replace `target` (which must have children) by its basin.
-    kind "contract": replace the basin (= children of `target`) by `target`.
+    kind "expand": replace `target` (which must have children) by them.
+    kind "contract": replace the children of `target` by `target`.
+    `basin` is the set the move consumes and `gain` the set it puts in
+    its place; neither takes part in equality or `repr`.
     """
 
     kind: str
     target: object
+    basin: frozenset = field(compare=False, repr=False)
+    gain: frozenset = field(compare=False, repr=False)
 
     @classmethod
     def expand(cls, b):
-        return cls("expand", b)
+        return cls("expand", b, frozenset((b,)), frozenset(_expansion(b)))
 
     @classmethod
     def contract(cls, target):
-        return cls("contract", target)
-
-    @property
-    def basin(self):
-        """The set of v-elements this move consumes."""
-        if self.kind == "expand":
-            return frozenset((self.target,))
-        return frozenset(self.target.children())
+        kids = frozenset(_expansion(target))
+        return cls("contract", target, kids, frozenset((target,)))
 
     def after(self, members):
         """The element set left once the move replaces its basin in
         `members`, a frozenset that holds the basin; nothing is checked."""
-        one, kids = (self.target,), self.target.children()
-        if self.kind == "expand":
-            return members.difference(one).union(kids)
-        return members.difference(kids).union(one)
+        return members.difference(self.basin).union(self.gain)
 
     def sort_key(self):
         return (self.kind, self.target.key())
 
 
+def _expansion(b):
+    """The children of b; MoveNotApplicable if it has none."""
+    kids = b.children()
+    if kids is None:
+        raise MoveNotApplicable("element has no expansion")
+    return kids
+
+
 def apply_move(v, m):
     """Apply a move to a vertex, returning the neighboring vertex.
 
-    The neighbour's elements are `m.after(v.as_set())`; `validate_vertex`
-    checks them and puts them in order.
+    The move applies iff `v` holds its basin.  The neighbour's elements
+    are then `m.after(v.as_set())`; `validate_vertex` checks them and
+    puts them in order, and the neighbour keeps that set as its own.
     """
-    if m.kind not in ("expand", "contract"):
-        raise MoveNotApplicable(f"unknown move kind {m.kind!r}")
-    kids = m.target.children()
     members = v.as_set()
-    if m.kind == "expand":
-        if m.target not in members:
-            raise MoveNotApplicable("expansion target not in vertex")
-        if kids is None:
-            raise MoveNotApplicable("element has no expansion")
-    else:
-        if kids is None:
-            raise MoveNotApplicable("contraction target has no basin")
-        if not members.issuperset(kids):
-            raise MoveNotApplicable("basin not contained in vertex")
-    return validate_vertex(m.after(members))
+    if not members.issuperset(m.basin):
+        raise MoveNotApplicable("basin not contained in vertex")
+    after = m.after(members)
+    w = validate_vertex(after)
+    object.__setattr__(w, "_set", after)
+    return w
 
 
 @dataclass(frozen=True)
@@ -362,11 +361,11 @@ class ExpansionSystem:
         """Every move applicable at v, in the order the class doc fixes.
 
         `glued` maps each candidate basin already asked about to its
-        `coexpansions` list.  A caller that walks many vertices passes
-        one dict, so a basin shared by several of them is glued once and
-        its targets are the same objects, caches filled, at each; with
-        no dict, each call starts a fresh one.  Reuse is safe because
-        `coexpansions` is pure and elements are immutable.
+        contraction moves, one per coexpansion.  A caller that walks many
+        vertices passes one dict, so a basin shared by several of them is
+        glued, and its moves built, once; with no dict, each call starts
+        a fresh one.  Reuse is safe because `coexpansions` is pure and
+        moves are immutable.
         """
         if glued is None:
             glued = {}
@@ -375,11 +374,12 @@ class ExpansionSystem:
                 yield Move.expand(b)
         for subset in self.contraction_candidates(v):
             basin = frozenset(subset)
-            targets = glued.get(basin)
-            if targets is None:
-                targets = glued[basin] = self.coexpansions(basin)
-            for target in targets:
-                yield Move.contract(target)
+            contractions = glued.get(basin)
+            if contractions is None:
+                contractions = glued[basin] = [
+                    Move.contract(t) for t in self.coexpansions(basin)
+                ]
+            yield from contractions
 
     def is_full_support(self, v):
         return self.covers_space([b.support() for b in v])

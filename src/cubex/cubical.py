@@ -66,26 +66,14 @@ def cube_vertices(c):
 
 
 def vertex_on_set(c, w):
-    """The active elements expanded to reach w, or None if w is not in c."""
-    on = []
+    """The active elements expanded to reach w, or None if w is not in c:
+    only those missing from w can be, so w is in c iff expanding them in
+    the base gives w."""
     members = w.as_set()
-    count = 0
-    for b in c.base:
-        if b in c.active:
-            if b in members:
-                count += 1
-            elif all(child in members for child in b.children()):
-                on.append(b)
-                count += len(b.children())
-            else:
-                return None
-        else:
-            if b not in members:
-                return None
-            count += 1
-    if count != len(members):
-        return None
-    return frozenset(on)
+    on = frozenset(b for b in c.active if b not in members)
+    kids = (kid for b in on for kid in b.children())
+    corner = c.base.as_set().difference(on).union(kids)
+    return on if corner == members else None
 
 
 def vertex_in_cube(c, w):
@@ -146,14 +134,14 @@ def intersection_lemma_check(c1, c2):
 def _cliques(moves, max_size):
     """Index tuples of the cliques of moves with pairwise disjoint basins,
     up to max_size, in depth-first order from the empty clique."""
-    basins = [m.basin for m in moves]
 
     def extend(clique, start):
         yield tuple(clique)
         if len(clique) >= max_size:
             return
         for i in range(start, len(moves)):
-            if all(basins[i].isdisjoint(basins[j]) for j in clique):
+            basin = moves[i].basin
+            if all(basin.isdisjoint(moves[j].basin) for j in clique):
                 clique.append(i)
                 yield from extend(clique, i + 1)
                 clique.pop()
@@ -327,15 +315,15 @@ class CubeComplex:
         graph) if more than `cap` vertices would be collected.
 
         One `glued` dict (see `ExpansionSystem.moves`) serves the whole
-        traversal, so each candidate basin is glued, and its
-        disjointness decided, once per call rather than once per
-        frontier vertex that holds it.  It has at most one entry per
-        candidate of a frontier vertex, so `cap` bounds it too, and it
-        is dropped on return: nothing is kept between calls.
+        traversal, so each candidate basin is glued, and its contraction
+        moves built, once per call rather than once per frontier vertex
+        that holds it.  It has at most one entry per candidate of a
+        frontier vertex, so `cap` bounds it too, and it is dropped on
+        return: nothing is kept between calls.
 
-        Vertices are indexed by their element sets.  A move's neighbour
-        is looked up by `Move.after` before anything is built, so each
-        vertex of the ball is built once, by `apply_move` and
+        Vertices are indexed by the element sets they keep.  A move's
+        neighbour is looked up by `Move.after` before anything is built,
+        so each vertex of the ball is built once, by `apply_move` and
         `validate_vertex`, when it is first reached; an edge back to a
         known vertex builds nothing.
         """
@@ -360,7 +348,7 @@ class CubeComplex:
                                 partial=self._graph(order, edges, radius),
                             )
                         w = apply_move(v, m)
-                        b = index[after] = len(order)
+                        b = index[w.as_set()] = len(order)
                         order.append(w)
                         next_frontier.append(w)
                     edges.add((min(a, b), max(a, b)))

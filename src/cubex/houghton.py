@@ -38,10 +38,11 @@ def check_point(p):
     """A point as a (branch, position) tuple; a list literal is accepted."""
     if isinstance(p, list):
         p = tuple(p)
+    # Here and for every count: a JSON `true` is an `int` to `isinstance`.
     if (
         not isinstance(p, tuple)
         or len(p) != 2
-        or not all(isinstance(c, int) for c in p)
+        or not all(type(c) is int for c in p)
         or p[0] < 1
         or p[1] < 1
     ):
@@ -158,14 +159,16 @@ class HRayClass:
     @classmethod
     def make(cls, branch, exceptions, tail, tail_branch=None):
         """Validate and reduce ray data into the canonical form."""
-        if tail_branch is not None and tail_branch != branch:
+        if tail_branch is not None and (
+            type(tail_branch) is not int or tail_branch != branch
+        ):
             raise CrossBranchTail(
                 f"ray in branch {branch} cannot translate onto branch"
                 f" {tail_branch}"
             )
-        if not isinstance(branch, int) or branch < 1:
+        if type(branch) is not int or branch < 1:
             raise InputError(f"bad branch {branch!r}")
-        if not isinstance(tail, int) or tail < 1:
+        if type(tail) is not int or tail < 1:
             raise InputError(f"bad tail start {tail!r}")
         exceptions = tuple(check_point(p) for p in exceptions)
         if len(set(exceptions)) != len(exceptions):
@@ -244,7 +247,7 @@ def canonicalize_ray(branch, images, tail, start=1, tail_branch=None):
     Transporting the domain to [1, oo) only relabels positions, so the
     class is independent of `start`.
     """
-    if not isinstance(start, int) or start < 1:
+    if type(start) is not int or start < 1:
         raise DomainMismatch(f"not a ray domain start: {start!r}")
     return HRayClass.make(branch, images, tail, tail_branch=tail_branch)
 
@@ -382,8 +385,7 @@ class HoughtonSystem(ExpansionSystem):
     name = "houghton"
 
     def __init__(self, n=2):
-        # `bool` is an `int`, but a JSON `true` is no branch count.
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise InputError(f"branch count must be a positive int: {n!r}")
         self.n = n
 

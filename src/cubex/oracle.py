@@ -135,7 +135,10 @@ def _target_key(m):
 
 def random_vertex(system, rng, height_bound):
     """A random full-support vertex of exactly `height_bound` elements,
-    built by a random move sequence from the system's base vertex."""
+    built by a random move sequence from the system's base vertex.  One
+    `glued` dict (see `ExpansionSystem.moves`) serves the whole walk, so
+    each basin on it is glued, and its contraction moves built, once."""
+    glued = {}
     v = system.base_vertex()
     if height_bound < v.height:
         raise ValueError(
@@ -146,7 +149,7 @@ def random_vertex(system, rng, height_bound):
         # A contraction lowers the height, which never exceeds the ceiling.
         candidates = [
             m
-            for m in system.moves(v)
+            for m in system.moves(v, glued)
             if m.kind == "contract"
             or v.height + len(m.target.children()) - 1 <= ceiling
         ]
@@ -154,10 +157,12 @@ def random_vertex(system, rng, height_bound):
             break
         v = apply_move(v, rng.choice(sorted(candidates, key=_target_key)))
     while v.height > height_bound:
-        contracts = [m for m in system.moves(v) if m.kind == "contract"]
+        contracts = [
+            m for m in system.moves(v, glued) if m.kind == "contract"
+        ]
         v = apply_move(v, rng.choice(sorted(contracts, key=_target_key)))
     while v.height < height_bound:
-        expands = [m for m in system.moves(v) if m.kind == "expand"]
+        expands = [m for m in system.moves(v, glued) if m.kind == "expand"]
         v = apply_move(v, rng.choice(sorted(expands, key=_target_key)))
     return v
 

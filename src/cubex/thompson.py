@@ -228,14 +228,16 @@ class VElement:
 
     def key(self):
         if self._key is None:
-            object.__setattr__(self, "_key", self.text())
+            object.__setattr__(self, "_key", _table_text(self.table))
         return self._key
 
-    def text(self):
-        return ",".join(f"{d}->{g}" for d, g in self.table)
-
     def __str__(self):
-        return self.text()
+        return self.key()
+
+
+def _table_text(table):
+    """A table as `d->g,...` text: the key of (group) elements."""
+    return ",".join(f"{d}->{g}" for d, g in table)
 
 
 def canonicalize(entries, domain=""):
@@ -324,7 +326,7 @@ class VGroupElement:
         return VGroupElement(compose_entries(self.table, other.table))
 
     def key(self):
-        return ",".join(f"{d}->{g}" for d, g in self.table)
+        return _table_text(self.table)
 
     def __str__(self):
         return self.key()

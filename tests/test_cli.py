@@ -283,6 +283,14 @@ def test_partial_vertex_is_rejected(tmp_path, capsys, argv):
     assert "does not cover" in err
 
 
+def ray(branch, tail):
+    return {"branch": branch, "exceptions": [], "tail": tail}
+
+
+def houghton2(*elements):
+    return {"instance": "houghton", "n": 2, "elements": list(elements)}
+
+
 @pytest.mark.parametrize(
     "vertex",
     [
@@ -297,8 +305,29 @@ def test_partial_vertex_is_rejected(tmp_path, capsys, argv):
         },
         {"instance": "v", "elements": [5]},
         {"instance": "v", "elements": [[["", "0", "1"]]]},
+        # A JSON `true` is no count, though Python's `bool` is an `int`.
+        houghton2([True, 1], ray(1, 2), ray(2, 1)),
+        houghton2([1, True], ray(1, 2), ray(2, 1)),
+        houghton2({"point": [True, 1]}, ray(1, 2), ray(2, 1)),
+        houghton2(ray(True, 1), ray(2, 1)),
+        houghton2(ray(1, True), ray(2, 1)),
+        houghton2(ray(1, [True, 1]), ray(2, 1)),
+        houghton2(dict(ray(1, 1), start=True), ray(2, 1)),
+        houghton2(dict(ray(1, 2), exceptions=[[True, 1]]), ray(2, 1)),
     ],
-    ids=["ray-without-tail", "v-element-int", "three-word-entry"],
+    ids=[
+        "ray-without-tail",
+        "v-element-int",
+        "three-word-entry",
+        "bool-point-branch",
+        "bool-point-position",
+        "bool-point-field",
+        "bool-ray-branch",
+        "bool-ray-tail",
+        "bool-ray-tail-branch",
+        "bool-ray-start",
+        "bool-ray-exception",
+    ],
 )
 def test_malformed_element_literal_is_input_error(tmp_path, capsys, vertex):
     path = write(tmp_path, "bad.json", vertex)
@@ -312,8 +341,17 @@ def test_malformed_element_literal_is_input_error(tmp_path, capsys, vertex):
         {"offsets": [1, "a"]},
         {"offsets": [0, 0], "exceptions": [[1, 2, 3]]},
         {"offsets": [1000000000, 0]},
+        {"offsets": [0, 0], "exceptions": [[[1, True], [1, 1]]]},
+        {"offsets": [0, 0], "exceptions": [[[1, 1], [True, 1]]]},
     ],
-    ids=["list", "non-int-offset", "three-item-exception", "huge-offset"],
+    ids=[
+        "list",
+        "non-int-offset",
+        "three-item-exception",
+        "huge-offset",
+        "bool-domain-point",
+        "bool-image-point",
+    ],
 )
 def test_malformed_houghton_group_literal_is_input_error(
     tmp_path, capsys, group

@@ -125,5 +125,15 @@ def test_coexpansions_contains_parent():
 def test_basin_of_moves():
     m = Move.expand(ball("0"))
     assert m.basin == frozenset((ball("0"),))
+    assert m.gain == frozenset((ball("00"), ball("01")))
     c = Move.contract(ball(""))
     assert c.basin == frozenset((ball("0"), ball("1")))
+    assert c.gain == frozenset((ball(""),))
+    # The sets take no part in equality or repr.
+    assert m == Move.expand(ball("0")) and "basin" not in repr(m)
+    v = validate_vertex([ball("1"), ball("0")])
+    assert v.as_set() is v.as_set()
+    assert v.as_set() == frozenset(v.elements)
+    w = apply_move(v, c)
+    assert w.as_set() is w.as_set()
+    assert w.as_set() == frozenset(w.elements)

@@ -19,7 +19,9 @@ check, since construction already makes them valid and canonical.  Each
 is compared, on seeded walks, with what the checked builder
 (`validate_vertex`, `HRayClass.make`) returns on the same data; so are
 moves, which build through `validate_vertex` from an element set, and
-the basin a coexpansion keeps as its children.
+the basin a coexpansion keeps as its children.  The two sets a move
+keeps are compared with their definition, and the one set equation of
+`vertex_on_set` with the brute corner list of `cubex.oracle`.
 """
 
 import dataclasses
@@ -34,6 +36,7 @@ from cubex import (
     HRayClass,
     InputError,
     Move,
+    MoveNotApplicable,
     OverlappingSupports,
     Vertex,
     VElement,
@@ -42,6 +45,7 @@ from cubex import (
     cube_vertices,
     validate_vertex,
 )
+from cubex.cubical import vertex_on_set
 from cubex.houghton import SparseRegion
 from cubex.oracle import (
     brute_corners,
@@ -335,6 +339,66 @@ def test_moves_and_corners_match_validate_vertex(system, seed):
             ], c
             built["corner"] += len(corners)
     assert min(built.values()) > 10, built
+
+
+@SYSTEMS
+@pytest.mark.parametrize("seed", SEEDS)
+def test_move_sets_match_their_definition(system, seed):
+    # An expansion swaps {target} for its children; a contraction the
+    # other way round.
+    rng = rng_from_seed(seed)
+    low = system.base_vertex().height
+    kinds = {"expand": 0, "contract": 0}
+    for h in range(low, low + 6):
+        v = random_vertex(system, rng, h)
+        for m in system.moves(v):
+            one = frozenset((m.target,))
+            kids = frozenset(m.target.children())
+            if m.kind == "expand":
+                assert (m.basin, m.gain) == (one, kids), (v, m)
+            else:
+                assert (m.basin, m.gain) == (kids, one), (v, m)
+            assert m.after(v.as_set()) == apply_move(v, m).as_set()
+            kinds[m.kind] += 1
+    assert min(kinds.values()) > 10, kinds
+
+
+def test_moves_need_an_expandable_target():
+    point = HPointClass((1, 1))
+    for make in (Move.expand, Move.contract):
+        with pytest.raises(MoveNotApplicable):
+            make(point)
+
+
+@SYSTEMS
+@pytest.mark.parametrize("seed", SEEDS)
+def test_vertex_on_set_matches_brute_corners(system, seed):
+    # Every corner of a cube and every neighbour of one: `vertex_on_set`
+    # finds a set iff the brute corner list holds the vertex, and that
+    # set, expanded in the base, rebuilds it.
+    rng = rng_from_seed(seed)
+    low = system.base_vertex().height
+    inside = outside = 0
+    for h in range(low, low + 6):
+        v = random_vertex(system, rng, h)
+        for dim in (1, 2, 3):
+            c = random_cube_at(system, rng, v, dim)
+            corners = brute_corners(c)
+            near = set(corners)
+            for w in corners:
+                near.update(apply_move(w, m) for m in system.moves(w))
+            for w in near:
+                on = vertex_on_set(c, w)
+                assert (on is not None) == (w in corners), (c, w)
+                if on is None:
+                    outside += 1
+                    continue
+                assert on <= set(c.active), (c, w)
+                elements = [b for b in c.base if b not in on]
+                elements += [kid for b in on for kid in b.children()]
+                assert validate_vertex(elements) == w, (c, w)
+                inside += 1
+    assert inside > 50 and outside > 150, (inside, outside)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
