@@ -314,7 +314,8 @@ class ExpansionSystem:
         raise NotImplementedError
 
     def join_standard(self, s1, s2):
-        """Common refinement of two standard vertices, with paths from each."""
+        """The coarsest common refinement of two standard vertices;
+        `CubeComplex.join` reaches it from each by expanding what it lacks."""
         raise NotImplementedError
 
     def transfer(self, b1, b2):
@@ -324,15 +325,17 @@ class ExpansionSystem:
         raise NotImplementedError
 
     def assemble(self, pieces):
-        """Combine transfer pieces into a group element (NotABijection if
-        the pieces do not tile the space on both sides)."""
+        """The union of transfer pieces, each a bijection onto its image,
+        as a group element: NotABijection unless the pieces' domains tile
+        the space and so do their images, the one check this makes."""
         raise NotImplementedError
 
     def identity(self):
         raise NotImplementedError
 
     def act(self, g, b):
-        """Left action of a group element on an element."""
+        """Left action of a group element on an element, built without
+        revalidation: g is a bijection, checked where it was parsed."""
         raise NotImplementedError
 
     def parse_element(self, obj):
@@ -385,4 +388,6 @@ class ExpansionSystem:
         return self.covers_space([b.support() for b in v])
 
     def act_vertex(self, g, v):
-        return validate_vertex([self.act(g, b) for b in v])
+        """g·v.  A bijection maps disjoint supports to disjoint ones, so
+        the image is a vertex by construction and is not checked again."""
+        return _vertex_unchecked([self.act(g, b) for b in v])

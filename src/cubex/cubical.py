@@ -23,6 +23,7 @@ from .core import (
     Vertex,
     _vertex_unchecked,
     apply_move,
+    ascend,
 )
 
 
@@ -170,15 +171,11 @@ class FlagReport:
     cliques_checked: int
     failures: tuple
     square_mismatches: tuple
-    neighbor_map_injective: bool
+    neighbor_map_injective: bool  # always: `link_graph` raises otherwise
 
     @property
     def passed(self):
-        return (
-            not self.failures
-            and not self.square_mismatches
-            and self.neighbor_map_injective
-        )
+        return not self.failures and not self.square_mismatches
 
 
 @dataclass(frozen=True)
@@ -255,10 +252,9 @@ class CubeComplex:
         the existence of a 2-cube through v and both neighbors.
         """
         lg = self.link_graph(v)
-        injective = len(set(lg.neighbors)) == len(lg.neighbors)
         failures = []
         checked = 0
-        two_cliques = {}
+        squares = set()
         n = len(lg.nodes)
         for clique in _cliques(lg.nodes, max_clique):
             if not clique:
@@ -275,17 +271,20 @@ class CubeComplex:
             if not ok:
                 failures.append(tuple(moves))
             elif len(clique) == 2:
-                two_cliques[clique] = set(cube_vertices(cube))
-
-        mismatches = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                wanted = {v, lg.neighbors[i], lg.neighbors[j]}
-                square = any(
-                    wanted <= verts for verts in two_cliques.values()
+                corners = [w for w in cube_vertices(cube) if w != v]
+                squares.update(
+                    map(frozenset, itertools.combinations(corners, 2))
                 )
-                if square != lg.adjacent(i, j):
-                    mismatches.append((lg.nodes[i], lg.nodes[j]))
+
+        # A passed 2-cube holds v.  The neighbours differ from v and from
+        # each other (`link_graph` raises otherwise), so a 2-cube through
+        # v and neighbours i and j exists iff their pair is recorded.
+        mismatches = [
+            (lg.nodes[i], lg.nodes[j])
+            for i, j in itertools.combinations(range(n), 2)
+            if (frozenset((lg.neighbors[i], lg.neighbors[j])) in squares)
+            != lg.adjacent(i, j)
+        ]
         return FlagReport(
             v,
             n,
@@ -293,7 +292,7 @@ class CubeComplex:
             checked,
             tuple(failures),
             tuple(mismatches),
-            injective,
+            True,
         )
 
     # -- joins ---------------------------------------------------------------
@@ -302,7 +301,9 @@ class CubeComplex:
         """A common upper bound of v1 and v2 with ascending paths from each."""
         p1 = self.system.standardize(v1)
         p2 = self.system.standardize(v2)
-        w, q1, q2 = self.system.join_standard(p1.end, p2.end)
+        w = self.system.join_standard(p1.end, p2.end)
+        members = w.as_set()
+        q1, q2 = (ascend(p.end, lambda b: b not in members) for p in (p1, p2))
         return w, p1 + q1, p2 + q2
 
     # -- exploration -----------------------------------------------------------

@@ -286,9 +286,9 @@ class HGroupElement:
 
     @classmethod
     def _normalized(cls, n, offsets, pairs):
-        """`make` without its checks, for the products and inverses of
-        bijections: only the entries that agree with the eventual
-        translation are dropped."""
+        """`make` without its checks, for bijections built here: products,
+        inverses and assembled pieces.  Only the entries that agree with
+        the eventual translation are dropped."""
         exc = {
             (i, p): y
             for (i, p), y in pairs
@@ -463,12 +463,7 @@ class HoughtonSystem(ExpansionSystem):
             for i, k in target_tails.items()
             for q in range(1, k)
         ]
-        target = validate_vertex(elements)
-
-        def short(b):
-            return isinstance(b, HRayClass) and b.tail < target_tails[b.branch]
-
-        return target, ascend(s1, short), ascend(s2, short)
+        return validate_vertex(elements)
 
     def transfer(self, b1, b2):
         if isinstance(b1, HPointClass) and isinstance(b2, HPointClass):
@@ -496,39 +491,32 @@ class HoughtonSystem(ExpansionSystem):
         return None
 
     def assemble(self, pieces):
-        point_map = {}
-        tail_domains = {}
-        offsets = [None] * self.n
+        offsets = [0] * self.n
+        domains, images = [], []
         for piece in pieces:
-            for x, y in piece.point_pairs:
-                if point_map.setdefault(x, y) != y:
-                    raise NotABijection(f"point {x} mapped twice")
+            tail_from = tail_to = ()
             if piece.tail_pair is not None:
                 (i, k), (j, l) = piece.tail_pair
                 if i != j:
                     raise CrossBranchTail(
                         "tail piece must stay within its branch"
                     )
-                if i in tail_domains:
-                    raise NotABijection(
-                        f"branch {i} covered by two tail pieces"
-                    )
-                tail_domains[i] = k
                 offsets[i - 1] = l - k
-        if sorted(tail_domains) != list(range(1, self.n + 1)):
-            raise NotABijection("every branch needs one tail piece")
-        for i, k in tail_domains.items():
-            for p in range(1, k):
-                if (i, p) not in point_map:
-                    raise NotABijection(
-                        f"point ({i}, {p}) not covered by any piece"
-                    )
-        for (i, p) in point_map:
-            if p >= tail_domains[i]:
-                raise NotABijection(
-                    f"point ({i}, {p}) covered twice (tail and point piece)"
-                )
-        return HGroupElement.make(self.n, offsets, point_map.items())
+                tail_from, tail_to = ((i, k),), ((j, l),)
+            domains.append(
+                SparseRegion.make([x for x, _ in piece.point_pairs], tail_from)
+            )
+            images.append(
+                SparseRegion.make([y for _, y in piece.point_pairs], tail_to)
+            )
+        for regions in (domains, images):
+            if not (
+                SparseRegion.all_disjoint(regions)
+                and self.covers_space(regions)
+            ):
+                raise NotABijection("pieces do not tile the space")
+        pairs = [pair for piece in pieces for pair in piece.point_pairs]
+        return HGroupElement._normalized(self.n, tuple(offsets), pairs)
 
     def identity(self):
         return HGroupElement(self.n, (0,) * self.n, ())
@@ -546,7 +534,9 @@ class HoughtonSystem(ExpansionSystem):
         images += [
             g.apply((b.branch, b.tail + j)) for j in range(peel)
         ]
-        return HRayClass.make(b.branch, images, b.tail + peel + t)
+        # g is a bijection that translates [b.tail + peel, oo): the images
+        # are distinct points outside the translated tail, as `make` asks.
+        return HRayClass._reduced(b.branch, tuple(images), b.tail + peel + t)
 
     def parse_element(self, obj):
         if isinstance(obj, (list, tuple)):

@@ -332,23 +332,6 @@ class VGroupElement:
         return self.key()
 
 
-def group_identity():
-    return VGroupElement((("", ""),))
-
-
-def act(g, b):
-    """g·b: compose the bijection after the class representative."""
-    return VElement(compose_entries(g.table, b.table))
-
-
-def transfer(b1, b2):
-    """The unique partial map carrying supp(b1) to supp(b2) with g·b1 = b2.
-
-    Always exists here; returned as a partial table (a transfer piece).
-    """
-    return compose_entries(b2.table, invert_entries(b1.table))
-
-
 class VSystem(ExpansionSystem):
     """The prefix-substitution expansion system (Thompson's group V)."""
 
@@ -382,14 +365,9 @@ class VSystem(ExpansionSystem):
                     joined.add(w)
                 elif u.startswith(w):
                     joined.add(u)
-        target = validate_vertex(
+        return validate_vertex(
             [VElement((("", w),)) for w in sorted(joined)]
         )
-
-        def coarser(b):
-            return b.table[0][1] not in joined
-
-        return target, ascend(s1, coarser), ascend(s2, coarser)
 
     def _standard_code(self, s):
         words = []
@@ -400,22 +378,27 @@ class VSystem(ExpansionSystem):
         return words
 
     def transfer(self, b1, b2):
-        return transfer(b1, b2)
+        """The partial table carrying supp(b1) onto supp(b2) so that
+        g·b1 = b2; it always exists here."""
+        return compose_entries(b2.table, invert_entries(b1.table))
 
     def assemble(self, pieces):
-        entries = tuple(
-            sorted(entry for piece in pieces for entry in piece)
-        )
-        try:
-            return VGroupElement.from_table(entries)
-        except IncompleteDomainCode as err:
-            raise NotABijection(str(err)) from err
+        # Each entry maps a ball onto a ball: the pieces tile X on both
+        # sides iff both word columns are complete codes.
+        entries = sorted(entry for piece in pieces for entry in piece)
+        if not (
+            is_complete_code(d for d, _ in entries)
+            and is_complete_code(g for _, g in entries)
+        ):
+            raise NotABijection("pieces do not tile the space")
+        return VGroupElement(_merge_sorted(entries))
 
     def identity(self):
-        return group_identity()
+        return VGroupElement((("", ""),))
 
     def act(self, g, b):
-        return act(g, b)
+        """g·b: compose the bijection after the class representative."""
+        return VElement(compose_entries(g.table, b.table))
 
     def parse_element(self, obj):
         if isinstance(obj, dict):

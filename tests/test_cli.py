@@ -1,10 +1,14 @@
 """CLI subcommands, file formats, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from cubex import InputError, cli, cubical
 from cubex.cli import main
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def write(tmp_path, name, obj):
@@ -415,3 +419,43 @@ def test_boolean_branch_count_is_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "cubes", "--max-dim", "0", path)
     assert_input_error(code, out, err)
     assert "branch count" in err
+
+
+# -- exit 1: only a failed verification ----------------------------------
+
+
+def refuse_corner(c, w):
+    raise InputError("corner refused")
+
+
+@pytest.mark.parametrize(
+    "vertex_on_set",
+    [lambda c, w: None, refuse_corner],
+    ids=["not-in-cube", "input-error"],
+)
+def test_link_exits_1_when_the_flag_check_fails(
+    fig, capsys, monkeypatch, vertex_on_set
+):
+    # No clique's cube then holds its neighbours, so every clique fails
+    # and every edge of the link lacks its square.
+    monkeypatch.setattr(cubical, "vertex_on_set", vertex_on_set)
+    code, out, _ = run(
+        capsys, "link", fig, "--check-flag", "--max-clique", "2"
+    )
+    assert code == 1
+    flag = json.loads(out)["flag"]
+    assert flag["passed"] is False
+    assert flag["failures"] == flag["cliques_checked"] == 9 + 9
+    assert flag["square_mismatches"] == 9
+
+
+def test_intersect_exits_1_when_the_brute_check_disagrees(
+    capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "brute_cube_intersection", lambda c1, c2: set())
+    cube = str(GOLDEN_INPUTS / "v_cube1.json")
+    code, out, _ = run(capsys, "intersect", cube, cube, "--verify-brute")
+    assert code == 1
+    data = json.loads(out)
+    assert data["verified"] is False
+    assert data["intersection"] is not None

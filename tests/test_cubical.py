@@ -2,6 +2,7 @@
 
 import math
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,8 @@ from cubex import (
     validate_vertex,
     vertex_in_cube,
 )
-from cubex.cubical import _check_closed
+from cubex import cubical
+from cubex.cubical import _check_closed, _cliques
 from cubex.oracle import (
     brute_cube_intersection,
     brute_neighbor_count,
@@ -250,6 +252,69 @@ def test_square_exists_iff_basins_disjoint(seed):
         assert brute_square_test(vs, v, m1, m2) == m1.basin.isdisjoint(
             m2.basin
         )
+
+
+def reference_check_flag(cx, v, max_clique):
+    """`check_flag`'s verdicts as the loop it replaced computed them: each
+    move pair tested against the corner set of every passed 2-cube."""
+    lg = cx.link_graph(v)
+    failures = []
+    two_cliques = {}
+    for clique in _cliques(lg.nodes, max_clique):
+        if not clique:
+            continue
+        moves = [lg.nodes[i] for i in clique]
+        try:
+            cube = cx.cube_from_moves(v, moves)
+            ok = vertex_in_cube(cube, v) and all(
+                vertex_in_cube(cube, lg.neighbors[i]) for i in clique
+            )
+        except InputError:
+            ok = False
+        if not ok:
+            failures.append(tuple(moves))
+        elif len(clique) == 2:
+            two_cliques[clique] = set(cube_vertices(cube))
+    mismatches = []
+    n = len(lg.nodes)
+    for i in range(n):
+        for j in range(i + 1, n):
+            wanted = {v, lg.neighbors[i], lg.neighbors[j]}
+            square = any(wanted <= verts for verts in two_cliques.values())
+            if square != lg.adjacent(i, j):
+                mismatches.append((lg.nodes[i], lg.nodes[j]))
+    return tuple(failures), tuple(mismatches)
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@pytest.mark.parametrize(
+    "system",
+    [vs, HoughtonSystem(2), HoughtonSystem(3)],
+    ids=["v", "houghton2", "houghton3"],
+)
+def test_square_index_matches_the_reference_loop(system, seed, monkeypatch):
+    # Some corners are hidden from the cubes, by a fixed rule, so that
+    # cliques fail, squares go missing and mismatches occur.
+    sx = CubeComplex(system)
+    real = cubical.vertex_on_set
+
+    def patchy(c, w):
+        hidden = zlib.crc32(f"{c.key()}/{w.key()}".encode()) % 5 == 0
+        return None if hidden else real(c, w)
+
+    rng = rng_from_seed(seed)
+    low = system.base_vertex().height
+    mismatched = 0
+    for h in range(low, low + 5):
+        v = random_vertex(system, rng, h)
+        for rule in (real, patchy):
+            monkeypatch.setattr(cubical, "vertex_on_set", rule)
+            rep = sx.check_flag(v, 3)
+            want = reference_check_flag(sx, v, 3)
+            assert (rep.failures, rep.square_mismatches) == want, (v, rule)
+            assert rep.passed == (want == ((), ()))
+            mismatched += len(rep.square_mismatches)
+    assert mismatched > 5
 
 
 # -- joins ------------------------------------------------------------------------------

@@ -364,11 +364,12 @@ def test_join_uses_max_tail_per_branch():
         [HRayClass(1, (), 5), HRayClass(2, (), 5)]
         + [HPointClass((i, q)) for i in (1, 2) for q in (1, 2, 3, 4)]
     )
-    w, p1, p2 = h2.join_standard(s1, s2)
+    assert h2.join_standard(s1, s2) == s2
+    w, p1, p2 = CubeComplex(h2).join(s1, s2)
     assert w == s2
     assert len(p1) == 4 and len(p2) == 0
     assert p1.check()
-    assert h2.join_standard(s1, s1)[0] == s1
+    assert h2.join_standard(s1, s1) == s1
 
 
 @given(seeds)

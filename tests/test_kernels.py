@@ -22,8 +22,14 @@ moves, which build through `validate_vertex` from an element set, and
 the basin a coexpansion keeps as its children.  The two sets a move
 keeps are compared with their definition, and the one set equation of
 `vertex_on_set` with the brute corner list of `cubex.oracle`.
+
+The group layer checks a group element once, where it is parsed.
+`assemble` asks one tiling rule of its pieces and is compared with the
+checks it replaced, kept here as the reference; group actions build
+unchecked and are compared with the checked builders.
 """
 
+import collections
 import dataclasses
 import itertools
 
@@ -31,29 +37,39 @@ import pytest
 
 from cubex import (
     DuplicateElement,
+    HGroupElement,
     HoughtonSystem,
     HPointClass,
     HRayClass,
     InputError,
     Move,
     MoveNotApplicable,
+    NotABijection,
     OverlappingSupports,
     Vertex,
     VElement,
+    VGroupElement,
     VSystem,
     apply_move,
     cube_vertices,
     validate_vertex,
 )
-from cubex.cubical import vertex_on_set
-from cubex.houghton import SparseRegion
+from cubex.cubical import _admissible, vertex_on_set
+from cubex.houghton import CrossBranchTail, HPiece, SparseRegion
 from cubex.oracle import (
     brute_corners,
     random_cube_at,
+    random_h_group,
+    random_v_group,
     random_vertex,
     rng_from_seed,
 )
-from cubex.thompson import BallRegion, _merge_sorted, _normalize_words
+from cubex.thompson import (
+    BallRegion,
+    IncompleteDomainCode,
+    _merge_sorted,
+    _normalize_words,
+)
 
 DEPTH = 6
 WORDS = [
@@ -458,3 +474,228 @@ def test_coexpansion_children_match_fresh_values(system, seed):
                 assert v.as_set().issuperset(t.children())
                 glued += 1
     assert glued > 10
+
+
+# -- the group layer: one tiling rule, trusted actions ----------------------
+
+
+def reference_v_assemble(system, pieces):
+    """`VSystem.assemble` as it was: the checked table builder.  It lets
+    OverlappingImages, an InputError, escape for nested image words."""
+    entries = tuple(sorted(entry for piece in pieces for entry in piece))
+    try:
+        return VGroupElement.from_table(entries)
+    except IncompleteDomainCode as err:
+        raise NotABijection(str(err)) from err
+
+
+def reference_h_assemble(system, pieces):
+    """`HoughtonSystem.assemble` as it was: the pieces read as one point
+    map plus one tail per branch, then the checked `HGroupElement.make`."""
+    point_map = {}
+    tail_domains = {}
+    offsets = [None] * system.n
+    for piece in pieces:
+        for x, y in piece.point_pairs:
+            if point_map.setdefault(x, y) != y:
+                raise NotABijection(f"point {x} mapped twice")
+        if piece.tail_pair is not None:
+            (i, k), (j, l) = piece.tail_pair
+            if i != j:
+                raise CrossBranchTail("tail piece must stay within its branch")
+            if i in tail_domains:
+                raise NotABijection(f"branch {i} covered by two tail pieces")
+            tail_domains[i] = k
+            offsets[i - 1] = l - k
+    if sorted(tail_domains) != list(range(1, system.n + 1)):
+        raise NotABijection("every branch needs one tail piece")
+    for i, k in tail_domains.items():
+        for p in range(1, k):
+            if (i, p) not in point_map:
+                raise NotABijection(f"point ({i}, {p}) not covered")
+    for (i, p) in point_map:
+        if p >= tail_domains[i]:
+            raise NotABijection(f"point ({i}, {p}) covered twice")
+    return HGroupElement.make(system.n, offsets, point_map.items())
+
+
+def reference_assemble(system, pieces):
+    if isinstance(system, VSystem):
+        return reference_v_assemble(system, pieces)
+    return reference_h_assemble(system, pieces)
+
+
+def outcome(assemble, system, pieces):
+    """The assembled element, or the type of the InputError raised."""
+    try:
+        return assemble(system, pieces)
+    except InputError as err:
+        return type(err)
+
+
+def pair_named_twice(pieces):
+    """True iff two pieces share a (domain, image) pair.
+
+    The old `houghton` rule read the pieces as one point map, so such a
+    pair counted once there, though the pieces cover its point twice.
+    """
+    pairs = [
+        pair
+        for piece in pieces
+        for pair in set(getattr(piece, "point_pairs", piece))
+    ]
+    return len(set(pairs)) < len(pairs)
+
+
+def assemble_cases(system, seed):
+    """(kind, pieces) over the admissible permutations of seeded vertices:
+    the whole set, and the set with one piece dropped, one repeated, and
+    one swapped for a piece between the elements of another vertex.  The
+    permutations carry v onto itself ("whole") and onto another vertex u
+    of its height ("onto"); only the latter move a `houghton` tail."""
+    rng = rng_from_seed(seed)
+    low = system.base_vertex().height
+    for h in range(low + 1, low + 5):
+        v = random_vertex(system, rng, h)
+        u = random_vertex(system, rng, h)
+        w = random_vertex(system, rng, rng.randint(low, low + 5))
+        other = [system.transfer(a, b) for a in w for b in (*w, *v)]
+        other = [piece for piece in other if piece is not None]
+        for kind, target in (("whole", v), ("onto", u)):
+            table = [[system.transfer(a, b) for b in target] for a in v]
+            for perm in itertools.islice(_admissible(table), 30):
+                pieces = [row[j] for row, j in zip(table, perm)]
+                yield kind, pieces
+                yield from broken_sets(rng, pieces, other)
+
+
+def broken_sets(rng, pieces, other):
+    i = rng.randrange(len(pieces))
+    yield "dropped", pieces[:i] + pieces[i + 1:]
+    yield "repeated", pieces + [pieces[i]]
+    swapped = list(pieces)
+    swapped[i] = rng.choice(other)
+    yield "swapped", swapped
+
+
+@SYSTEMS
+@pytest.mark.parametrize("seed", SEEDS)
+def test_assemble_matches_the_reference(system, seed):
+    # Where the rule accepts, the reference builds the same element.
+    # Where it rejects, it says NotABijection, and the reference rejects
+    # too, unless two pieces share a pair (see `pair_named_twice`).
+    seen = collections.Counter()
+    for kind, pieces in assemble_cases(system, seed):
+        want = outcome(reference_assemble, system, pieces)
+        got = outcome(type(system).assemble, system, pieces)
+        if isinstance(got, type):
+            assert got is NotABijection, (kind, pieces)
+            assert isinstance(want, type) or pair_named_twice(pieces), (
+                kind,
+                pieces,
+            )
+        else:
+            assert got == want and got.key() == want.key(), (kind, pieces)
+        seen[kind, isinstance(got, type)] += 1
+    for kind in ("whole", "onto"):
+        assert seen[kind, False] > 20 and not seen[kind, True], seen
+    for kind in ("dropped", "repeated", "swapped"):
+        assert seen[kind, True] > 20, seen
+
+
+def test_assemble_refuses_a_cross_branch_tail():
+    system = HoughtonSystem(2)
+    v = random_vertex(system, rng_from_seed(7), 5)
+    pieces = [system.transfer(b, b) for b in v]
+    for i, piece in enumerate(pieces):
+        if piece.tail_pair is not None:
+            (_, k), (j, l) = piece.tail_pair
+            broken = list(pieces)
+            broken[i] = HPiece(piece.point_pairs, ((3 - j, k), (j, l)))
+            for assemble in (reference_h_assemble, HoughtonSystem.assemble):
+                assert outcome(assemble, system, broken) is CrossBranchTail
+
+
+def h_piece(pairs, tail=None):
+    return HPiece(tuple(pairs), tail)
+
+
+@pytest.mark.parametrize(
+    "system, pieces",
+    [
+        (VSystem(), [(("0", "0"),), (("0", "1"),)]),
+        (VSystem(), [(("0", "0"),), (("1", "0"),)]),
+        (VSystem(), [(("0", "0"),), (("1", "00"),)]),
+        (
+            HoughtonSystem(2),
+            [
+                h_piece([((1, 1), (1, 1))]),
+                h_piece([((1, 1), (2, 1))]),
+                h_piece([], ((1, 2), (1, 2))),
+                h_piece([], ((2, 1), (2, 2))),
+            ],
+        ),
+        (
+            HoughtonSystem(2),
+            [
+                h_piece([((1, 1), (1, 1))]),
+                h_piece([((2, 1), (1, 1))]),
+                h_piece([], ((1, 2), (1, 2))),
+                h_piece([], ((2, 2), (2, 1))),
+            ],
+        ),
+    ],
+    ids=["v-domain", "v-image", "v-nested-image", "h-domain", "h-image"],
+)
+def test_assemble_says_not_a_bijection_on_either_side(system, pieces):
+    # Nested image words once escaped as OverlappingImages.
+    with pytest.raises(NotABijection):
+        system.assemble(pieces)
+
+
+@pytest.mark.parametrize(
+    "offsets, exceptions, message",
+    [
+        ((-1, 1), {(2, 1): (1, 1)}, "has no valid image"),
+        ((0, 0), {(1, 1): (1, 3), (1, 2): (1, 3)}, "share an image"),
+    ],
+)
+def test_make_checks_a_bijection(offsets, exceptions, message):
+    with pytest.raises(NotABijection, match=message):
+        HGroupElement.make(2, offsets, exceptions)
+
+
+def reference_h_act(g, b):
+    """`HoughtonSystem.act` on a ray as it was: ending in the checked
+    `HRayClass.make`."""
+    top = max((p for (i, p), _ in g.exceptions if i == b.branch), default=0)
+    t = g.offsets[b.branch - 1]
+    peel = max(0, top - b.tail + 1, 1 - t - b.tail)
+    images = [g.apply(y) for y in b.exceptions]
+    images += [g.apply((b.branch, b.tail + j)) for j in range(peel)]
+    return HRayClass.make(b.branch, images, b.tail + peel + t)
+
+
+@SYSTEMS
+@pytest.mark.parametrize("seed", SEEDS)
+def test_actions_match_the_checked_builders(system, seed):
+    rng = rng_from_seed(seed)
+    low = system.base_vertex().height
+    rays = 0
+    for h in range(low, low + 6):
+        v = random_vertex(system, rng, h)
+        for _ in range(3):
+            if isinstance(system, VSystem):
+                g = random_v_group(rng, 3)
+            else:
+                g = random_h_group(rng, system.n)
+            images = [system.act(g, b) for b in v]
+            assert system.act_vertex(g, v).elements == (
+                validate_vertex(images).elements
+            ), (g, v)
+            for b, gb in zip(v, images):
+                if isinstance(b, HRayClass):
+                    assert gb == reference_h_act(g, b), (g, b)
+                    assert compared(gb) == compared(reference_h_act(g, b))
+                    rays += 1
+    assert isinstance(system, VSystem) or rays > 20

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubex import (
+    CubeComplex,
     InputError,
     NotABijection,
     OverlappingSupports,
@@ -22,10 +23,7 @@ from cubex.thompson import (
     BallRegion,
     IncompleteDomainCode,
     OverlappingImages,
-    act,
-    group_identity,
     parse_table_text,
-    transfer,
 )
 from cubex.oracle import (
     evaluate_table,
@@ -212,7 +210,7 @@ def test_coexpansions_of_halves_are_id_and_transposition():
 
 def test_group_identity_and_transposition():
     a = VGroupElement.from_table([("0", "1"), ("1", "0")])
-    assert a * a == group_identity()
+    assert a * a == vs.identity()
     assert a.inverse() == a
 
 
@@ -224,8 +222,8 @@ def test_group_rejects_non_bijection():
 def test_act_identity_and_transposition():
     b = elem(("", "0"))
     a = VGroupElement.from_table([("0", "1"), ("1", "0")])
-    assert act(group_identity(), b) == b
-    assert act(a, b) == elem(("", "1"))
+    assert vs.act(vs.identity(), b) == b
+    assert vs.act(a, b) == elem(("", "1"))
 
 
 @given(seeds)
@@ -234,7 +232,7 @@ def test_group_axioms(seed):
     rng = random.Random(seed)
     g = random_v_group(rng, 3)
     h = random_v_group(rng, 3)
-    e = group_identity()
+    e = vs.identity()
     assert g * g.inverse() == e
     assert g.inverse() * g == e
     assert (g * h).inverse() == h.inverse() * g.inverse()
@@ -268,10 +266,12 @@ def test_action_functorial_and_equivariant(seed):
     g = random_v_group(rng, 3)
     h = random_v_group(rng, 3)
     b = random_v_element(rng, 3)
-    assert act(group_identity(), b) == b
-    assert act(g, act(h, b)) == act(g * h, b)
-    assert act(g, b).support() == apply_group_to_region(g, b.support())
-    assert act(g, b).children() == tuple(act(g, c) for c in b.children())
+    assert vs.act(vs.identity(), b) == b
+    assert vs.act(g, vs.act(h, b)) == vs.act(g * h, b)
+    assert vs.act(g, b).support() == apply_group_to_region(g, b.support())
+    assert vs.act(g, b).children() == tuple(
+        vs.act(g, c) for c in b.children()
+    )
 
 
 # -- transfers ----------------------------------------------------------------------
@@ -279,8 +279,8 @@ def test_action_functorial_and_equivariant(seed):
 
 def test_transfer_examples():
     b = elem(("", "0"))
-    assert transfer(b, b) == (("0", "0"),)
-    assert transfer(elem(("", "0")), elem(("", "1"))) == (("0", "1"),)
+    assert vs.transfer(b, b) == (("0", "0"),)
+    assert vs.transfer(elem(("", "0")), elem(("", "1"))) == (("0", "1"),)
 
 
 @given(seeds)
@@ -289,7 +289,7 @@ def test_transfer_moves_the_element(seed):
     rng = random.Random(seed)
     b1 = random_v_element(rng, 3)
     b2 = random_v_element(rng, 3)
-    piece = transfer(b1, b2)
+    piece = vs.transfer(b1, b2)
     # domain balls of the piece tile supp(b1); images tile supp(b2)
     assert BallRegion.make([d for d, _ in piece]) == b1.support()
     assert BallRegion.make([g for _, g in piece]) == b2.support()
@@ -312,7 +312,8 @@ def test_join_standard_refinement_order():
     s2 = validate_vertex(
         [elem(("", "0")), elem(("", "10")), elem(("", "11"))]
     )
-    w, p1, p2 = vs.join_standard(s1, s2)
+    assert vs.join_standard(s1, s2) == s2
+    w, p1, p2 = CubeComplex(vs).join(s1, s2)
     assert w == s2
     assert len(p1) == 1 and len(p2) == 0
     assert p1.check() and p2.check()
