@@ -19,6 +19,7 @@ shared freely across workers.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass, field
 
 
@@ -246,16 +247,22 @@ class AscendingPath:
 
 def ascend(v, pick):
     """The ascending path that expands, at each step, the first element of
-    the current vertex that `pick` accepts, until it accepts none."""
+    the current vertex that `pick` accepts, until it accepts none.  A
+    vertex is in key order and `pick` is pure, so the accepted elements
+    wait in a list kept in key order, and an expansion adds only accepted
+    children."""
     vertices = [v]
     moves = []
-    while True:
-        target = next((b for b in vertices[-1] if pick(b)), None)
-        if target is None:
-            return AscendingPath(tuple(vertices), tuple(moves))
+    accepted = [(b.key(), b) for b in v if pick(b)]
+    while accepted:
+        _, target = accepted.pop(0)
         m = Move.expand(target)
         moves.append(m)
         vertices.append(apply_move(vertices[-1], m))
+        for kid in target.children():
+            if pick(kid):
+                insort(accepted, (kid.key(), kid))
+    return AscendingPath(tuple(vertices), tuple(moves))
 
 
 class ExpansionSystem:

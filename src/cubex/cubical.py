@@ -434,32 +434,34 @@ def _check_closed(group, identity):
 
     Inversion is checked element by element.  For composition, the
     elements are walked in order, and one not yet in the span of the
-    generators taken so far becomes a generator; the span is then
-    regrown from the identity by right multiplication by every
-    generator, and each product must lie in the group.  At the end every
-    element lies in the span.  For a generator t, t^-1 is a member and
-    so lies in the span, and the product t^-1 * t is formed: the
-    identity is a member too.  So each h in the group is a product of
-    generators t1...tm, and g*h = (...(g*t1)...)*tm stays in the group.
-    This proves what checking all |G|^2 products proves, with about
-    |G| log2 |G| products.
+    generators taken so far becomes a generator; each product formed
+    must lie in the group.  The span starts as the identity and stays
+    closed under right multiplication by every generator: when t joins,
+    each old member is multiplied by t, and each new member by every
+    generator, until none is new.  An old member times an old generator
+    was formed before, so the span is closed again: it is the span of
+    the generators.  At the end every element lies in the span.  For a
+    generator t, t^-1 is a member and so lies in the span, and the
+    product t^-1 * t is formed: the identity is a member too.  So each
+    h in the group is a product of generators t1...tm, and
+    g*h = (...(g*t1)...)*tm stays in the group.  This proves what
+    checking all |G|^2 products proves, with |G| products per generator.
     """
     members = {g.key() for g in group}
     for g in group:
         if g.inverse().key() not in members:
             raise InputError("stabilizer not closed under inversion")
     generators = []
-    span = {identity.key()}
+    span = {identity.key(): identity}
     for g in group:
         if g.key() in span:
             continue
         generators.append(g)
-        span = {identity.key()}
-        frontier = [identity]
+        frontier, factors = list(span.values()), [g]
         while frontier:
             grown = []
             for s in frontier:
-                for t in generators:
+                for t in factors:
                     st = s * t
                     key = st.key()
                     if key not in members:
@@ -467,9 +469,9 @@ def _check_closed(group, identity):
                             "stabilizer not closed under composition"
                         )
                     if key not in span:
-                        span.add(key)
+                        span[key] = st
                         grown.append(st)
-            frontier = grown
+            frontier, factors = grown, generators
 
 
 # -- exports ----------------------------------------------------------------

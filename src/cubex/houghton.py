@@ -252,19 +252,23 @@ def canonicalize_ray(branch, images, tail, start=1, tail_branch=None):
     return HRayClass.make(branch, images, tail, tail_branch=tail_branch)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HGroupElement:
     """An eventually-translation bijection of X.
 
     `offsets[i-1]` is the eventual translation amount on branch i;
     `exceptions` lists the finitely many points whose image deviates
     from that translation (or whose translation image would fall below
-    position 1), sorted by domain point.
+    position 1), sorted by domain point.  The key and the exceptions
+    read as a map each way are computed on first use and kept.
     """
 
     n: int
     offsets: tuple
     exceptions: tuple  # ((domain point, image point), ...)
+    _key: str = cached_field()
+    _images: dict = cached_field()
+    _preimages: dict = cached_field()
 
     @classmethod
     def make(cls, n, offsets, exceptions):
@@ -329,18 +333,18 @@ class HGroupElement:
             )
 
     def apply(self, x):
-        exc = dict(self.exceptions)
-        if x in exc:
-            return exc[x]
+        if self._images is None:
+            object.__setattr__(self, "_images", dict(self.exceptions))
         i, p = x
-        return (i, p + self.offsets[i - 1])
+        return self._images.get(x, (i, p + self.offsets[i - 1]))
 
     def preimage(self, y):
-        for x, v in self.exceptions:
-            if v == y:
-                return x
+        # A bijection's exceptional images are distinct.
+        if self._preimages is None:
+            inverse = {v: x for x, v in self.exceptions}
+            object.__setattr__(self, "_preimages", inverse)
         i, q = y
-        return (i, q - self.offsets[i - 1])
+        return self._preimages.get(y, (i, q - self.offsets[i - 1]))
 
     def inverse(self):
         return HGroupElement._normalized(
@@ -361,22 +365,41 @@ class HGroupElement:
         return HGroupElement._normalized(self.n, offsets, exc.items())
 
     def key(self):
-        exc = ";".join(
-            f"{x[0]}.{x[1]}>{y[0]}.{y[1]}" for x, y in self.exceptions
-        )
-        return f"g{','.join(map(str, self.offsets))}:{exc}"
+        if self._key is None:
+            exc = ";".join(
+                f"{x[0]}.{x[1]}>{y[0]}.{y[1]}" for x, y in self.exceptions
+            )
+            object.__setattr__(
+                self, "_key", f"g{','.join(map(str, self.offsets))}:{exc}"
+            )
+        return self._key
 
     def __str__(self):
         return self.key()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HPiece:
     """A transfer piece: finitely many point maps plus at most one
-    within-branch tail translation."""
+    within-branch tail translation.  Its domain and image regions are
+    built on first use and kept."""
 
     point_pairs: tuple
     tail_pair: object  # ((branch, start), (branch, start)) or None
+    _regions: tuple = cached_field()
+
+    def regions(self):
+        """(domain, image): the regions the piece maps between."""
+        if self._regions is None:
+            tails = [(), ()]
+            if self.tail_pair is not None:
+                tails = [[end] for end in self.tail_pair]
+            regions = tuple(
+                SparseRegion.make([p[side] for p in self.point_pairs], tail)
+                for side, tail in enumerate(tails)
+            )
+            object.__setattr__(self, "_regions", regions)
+        return self._regions
 
 
 class HoughtonSystem(ExpansionSystem):
@@ -492,9 +515,7 @@ class HoughtonSystem(ExpansionSystem):
 
     def assemble(self, pieces):
         offsets = [0] * self.n
-        domains, images = [], []
         for piece in pieces:
-            tail_from = tail_to = ()
             if piece.tail_pair is not None:
                 (i, k), (j, l) = piece.tail_pair
                 if i != j:
@@ -502,17 +523,11 @@ class HoughtonSystem(ExpansionSystem):
                         "tail piece must stay within its branch"
                     )
                 offsets[i - 1] = l - k
-                tail_from, tail_to = ((i, k),), ((j, l),)
-            domains.append(
-                SparseRegion.make([x for x, _ in piece.point_pairs], tail_from)
-            )
-            images.append(
-                SparseRegion.make([y for _, y in piece.point_pairs], tail_to)
-            )
-        for regions in (domains, images):
+        regions = [piece.regions() for piece in pieces]
+        for family in ([d for d, _ in regions], [g for _, g in regions]):
             if not (
-                SparseRegion.all_disjoint(regions)
-                and self.covers_space(regions)
+                SparseRegion.all_disjoint(family)
+                and self.covers_space(family)
             ):
                 raise NotABijection("pieces do not tile the space")
         pairs = [pair for piece in pieces for pair in piece.point_pairs]

@@ -18,6 +18,7 @@ into (d -> g) until no merge applies.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .core import (
@@ -117,29 +118,18 @@ class BallRegion:
 
 
 def _merge_sorted(entries):
-    """Merge sibling (d0->g0),(d1->g1) pairs in a domain-sorted table."""
+    """Merge sibling (d0->g0),(d1->g1) pairs in a domain-sorted table: an
+    entry merges with the top of the stack while that is its sibling."""
     stack = []
-    for entry in entries:
-        stack.append(entry)
-        while len(stack) >= 2:
-            (d1, g1), (d2, g2) = stack[-2], stack[-1]
-            if (
-                d1
-                and d2
-                and g1
-                and g2
-                and d1[:-1] == d2[:-1]
-                and d1[-1] == "0"
-                and d2[-1] == "1"
-                and g1[:-1] == g2[:-1]
-                and g1[-1] == "0"
-                and g2[-1] == "1"
-            ):
-                stack.pop()
-                stack.pop()
-                stack.append((d1[:-1], g1[:-1]))
-            else:
-                break
+    for d, g in entries:
+        while (
+            stack
+            and d[-1:] == g[-1:] == "1"
+            and stack[-1] == (d[:-1] + "0", g[:-1] + "0")
+        ):
+            stack.pop()
+            d, g = d[:-1], g[:-1]
+        stack.append((d, g))
     return tuple(stack)
 
 
@@ -166,14 +156,23 @@ def invert_entries(entries):
 
 
 def compose_entries(outer, inner):
-    """Table of outer∘inner, composing partial prefix maps on overlaps."""
+    """Table of outer∘inner, composing partial prefix maps on overlaps.
+
+    The outer domain words are a sorted antichain: the one that is a
+    prefix of an inner image b, if any, is the last word at or before b,
+    and those that extend b are the run that follows."""
+    domains = [c for c, _ in outer]
     out = []
     for a, b in inner:
-        for c, d in outer:
-            if b.startswith(c):
-                out.append((a, d + b[len(c):]))
-            elif c.startswith(b) and len(c) > len(b):
-                out.append((a + c[len(b):], d))
+        i = bisect_right(domains, b)
+        if i and b.startswith(domains[i - 1]):
+            c, d = outer[i - 1]
+            out.append((a, d + b[len(c):]))
+            continue
+        while i < len(domains) and domains[i].startswith(b):
+            c, d = outer[i]
+            out.append((a + c[len(b):], d))
+            i += 1
     return _merge_sorted(sorted(out))
 
 
@@ -306,11 +305,13 @@ def _glued(b1, b2):
 # -- the group ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VGroupElement:
-    """A table that is a bijection of X: both word columns complete codes."""
+    """A table that is a bijection of X: both word columns complete codes.
+    The key is computed on first use and kept."""
 
     table: tuple
+    _key: str = cached_field()
 
     @classmethod
     def from_table(cls, entries):
@@ -326,7 +327,9 @@ class VGroupElement:
         return VGroupElement(compose_entries(self.table, other.table))
 
     def key(self):
-        return _table_text(self.table)
+        if self._key is None:
+            object.__setattr__(self, "_key", _table_text(self.table))
+        return self._key
 
     def __str__(self):
         return self.key()

@@ -12,6 +12,7 @@ from cubex import (
     CapExceeded,
     Cube,
     CubeComplex,
+    HGroupElement,
     HoughtonSystem,
     InputError,
     Move,
@@ -27,7 +28,8 @@ from cubex import (
     validate_vertex,
     vertex_in_cube,
 )
-from cubex import cubical
+from cubex import core, cubical, houghton, thompson
+from cubex.core import AscendingPath
 from cubex.cubical import _check_closed, _cliques
 from cubex.oracle import (
     brute_cube_intersection,
@@ -346,6 +348,43 @@ def test_join_dominates_with_unit_steps(seed):
         assert heights == list(range(heights[0], heights[0] + len(heights)))
 
 
+def reference_ascend(v, pick):
+    """`core.ascend` as it was: the vertex rescanned from its first
+    element after every expansion."""
+    vertices = [v]
+    moves = []
+    while True:
+        target = next((b for b in vertices[-1] if pick(b)), None)
+        if target is None:
+            return AscendingPath(tuple(vertices), tuple(moves))
+        m = Move.expand(target)
+        moves.append(m)
+        vertices.append(apply_move(vertices[-1], m))
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@pytest.mark.parametrize(
+    "system",
+    [vs, HoughtonSystem(2), HoughtonSystem(3)],
+    ids=["v", "houghton2", "houghton3"],
+)
+def test_join_paths_match_the_rescanning_ascend(system, seed, monkeypatch):
+    # Both standardizing paths and both paths up to the join.
+    rng = rng_from_seed(seed)
+    sx = CubeComplex(system)
+    low = system.base_vertex().height
+    vertices = [
+        random_vertex(system, rng, rng.randint(low, low + 5))
+        for _ in range(40)
+    ]
+    pairs = list(zip(vertices[::2], vertices[1::2]))
+    got = [sx.join(v1, v2) for v1, v2 in pairs]
+    for module in (core, thompson, houghton, cubical):
+        monkeypatch.setattr(module, "ascend", reference_ascend)
+    assert got == [sx.join(v1, v2) for v1, v2 in pairs]
+    assert sum(len(p1) + len(p2) for _, p1, p2 in got) > 100
+
+
 # -- exploration -----------------------------------------------------------------------------
 
 
@@ -526,7 +565,7 @@ def test_stabilizer_matches_brute(system, seed):
         assert complex_.stabilizer(v) == brute_stabilizer(system, v), h
 
 
-@pytest.mark.parametrize(
+CLOSURE_CASES = pytest.mark.parametrize(
     "case, message",
     [
         # Dropping or swapping out an involution keeps every inverse in
@@ -537,10 +576,13 @@ def test_stabilizer_matches_brute(system, seed):
         ("drop-3-cycle", "inversion"),
     ],
 )
-def test_closure_check_raises_on_sets_that_are_not_closed(case, message):
-    v = random_vertex(vs, rng_from_seed(7), 3)
-    stab = cx.stabilizer(v)
-    identity = vs.identity()
+
+
+def assert_closure_check_rejects(system, v, swap, case, message):
+    """Break the order-6 stabilizer of v as `case` says; `swap` is an
+    involution outside it."""
+    stab = CubeComplex(system).stabilizer(v)
+    identity = system.identity()
     _check_closed(stab, identity)
     involution = next(g for g in stab if g != identity and g * g == identity)
     three_cycle = next(g for g in stab if g * g != identity)
@@ -552,12 +594,99 @@ def test_closure_check_raises_on_sets_that_are_not_closed(case, message):
     }[case]
     broken = [g for g in stab if g != dropped]
     if case == "swap-in-non-member":
-        swap = VGroupElement.from_table([("0", "1"), ("1", "0")])
         assert swap == swap.inverse() and swap not in stab
-        broken = sorted(broken + [swap], key=VGroupElement.key)
+        broken = sorted(broken + [swap], key=type(swap).key)
     assert len(broken) == 6 - (case != "swap-in-non-member")
     with pytest.raises(InputError, match=f"not closed under {message}"):
         _check_closed(broken, identity)
+
+
+@CLOSURE_CASES
+def test_closure_check_raises_on_sets_that_are_not_closed(case, message):
+    v = random_vertex(vs, rng_from_seed(7), 3)
+    swap = VGroupElement.from_table([("0", "1"), ("1", "0")])
+    assert_closure_check_rejects(vs, v, swap, case, message)
+
+
+@CLOSURE_CASES
+def test_closure_check_raises_on_houghton_sets_that_are_not_closed(
+    case, message
+):
+    system = HoughtonSystem(2)
+    v = random_vertex(system, rng_from_seed(7), 5)
+    swap = HGroupElement.make(2, (0, 0), [((1, 1), (1, 2)), ((1, 2), (1, 1))])
+    assert_closure_check_rejects(system, v, swap, case, message)
+
+
+def reference_check_closed(group, identity):
+    """`_check_closed` as it was: the span regrown from the identity by
+    every generator each time one is taken."""
+    members = {g.key() for g in group}
+    for g in group:
+        if g.inverse().key() not in members:
+            raise InputError("stabilizer not closed under inversion")
+    generators = []
+    span = {identity.key()}
+    for g in group:
+        if g.key() in span:
+            continue
+        generators.append(g)
+        span = {identity.key()}
+        frontier = [identity]
+        while frontier:
+            grown = []
+            for s in frontier:
+                for t in generators:
+                    st = s * t
+                    if st.key() not in members:
+                        raise InputError(
+                            "stabilizer not closed under composition"
+                        )
+                    if st.key() not in span:
+                        span.add(st.key())
+                        grown.append(st)
+            frontier = grown
+
+
+def closure_verdict(check, group, identity):
+    try:
+        check(group, identity)
+    except InputError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@pytest.mark.parametrize(
+    "system",
+    [VSystem(), HoughtonSystem(2), HoughtonSystem(3)],
+    ids=["v", "houghton2", "houghton3"],
+)
+def test_incremental_closure_check_matches_the_regrown_span(system, seed):
+    # Whole stabilizers, and the same with one element dropped or one
+    # element of another vertex's stabilizer swapped in.
+    rng = rng_from_seed(seed)
+    complex_ = CubeComplex(system)
+    identity = system.identity()
+    verdicts = set()
+    low = system.base_vertex().height
+    for h in range(low + 1, low + 5):
+        stab = complex_.stabilizer(random_vertex(system, rng, h))
+        other = complex_.stabilizer(random_vertex(system, rng, h))
+        for _ in range(4):
+            i = rng.randrange(len(stab))
+            for group in (
+                stab,
+                stab[:i] + stab[i + 1:],
+                sorted(
+                    stab[:i] + [rng.choice(other)] + stab[i + 1:],
+                    key=type(identity).key,
+                ),
+            ):
+                want = closure_verdict(reference_check_closed, group, identity)
+                assert closure_verdict(_check_closed, group, identity) == want
+                verdicts.add(want)
+    assert len(verdicts) == 3, verdicts
 
 
 def test_stabilizer_cap():

@@ -60,6 +60,7 @@ from cubex.oracle import (
     brute_corners,
     random_cube_at,
     random_h_group,
+    random_v_element,
     random_v_group,
     random_vertex,
     rng_from_seed,
@@ -69,6 +70,8 @@ from cubex.thompson import (
     IncompleteDomainCode,
     _merge_sorted,
     _normalize_words,
+    compose_entries,
+    invert_entries,
 )
 
 DEPTH = 6
@@ -699,3 +702,205 @@ def test_actions_match_the_checked_builders(system, seed):
                     assert compared(gb) == compared(reference_h_act(g, b))
                     rays += 1
     assert isinstance(system, VSystem) or rays > 20
+
+
+# -- the group layer: table composition, cached keys and regions -------------
+
+
+def reference_merge_sorted(entries):
+    """`_merge_sorted` as it was: ten string tests per candidate pair."""
+    stack = []
+    for entry in entries:
+        stack.append(entry)
+        while len(stack) >= 2:
+            (d1, g1), (d2, g2) = stack[-2], stack[-1]
+            if (
+                d1
+                and d2
+                and g1
+                and g2
+                and d1[:-1] == d2[:-1]
+                and d1[-1] == "0"
+                and d2[-1] == "1"
+                and g1[:-1] == g2[:-1]
+                and g1[-1] == "0"
+                and g2[-1] == "1"
+            ):
+                stack.pop()
+                stack.pop()
+                stack.append((d1[:-1], g1[:-1]))
+            else:
+                break
+    return tuple(stack)
+
+
+def reference_compose_raw(outer, inner):
+    """Every overlap of an inner image with an outer domain, from all
+    pairs of entries, sorted but not merged."""
+    out = []
+    for a, b in inner:
+        for c, d in outer:
+            if b.startswith(c):
+                out.append((a, d + b[len(c):]))
+            elif c.startswith(b) and len(c) > len(b):
+                out.append((a + c[len(b):], d))
+    return sorted(out)
+
+
+def composed_tables(seed):
+    """(outer, inner) table pairs: group by group, group by element, and
+    the partial tables `transfer` composes, whose inner table is an
+    inverted element table."""
+    rng = rng_from_seed(seed)
+    system = VSystem()
+    for depth in (2, 3, 4, 5):
+        for _ in range(60):
+            g = random_v_group(rng, depth)
+            yield g.table, random_v_group(rng, depth).table
+            yield g.table, random_v_element(rng, depth).table
+    for h in range(2, 7):
+        for _ in range(4):
+            v = random_vertex(system, rng, h)
+            for a, b in itertools.product(v, repeat=2):
+                yield b.table, invert_entries(a.table)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_compose_entries_matches_the_all_pairs_reference(seed):
+    # Both kinds of overlap must occur: an outer domain covering an
+    # inner image, and outer domains splitting one.
+    covered = split = 0
+    for outer, inner in composed_tables(seed):
+        raw = reference_compose_raw(outer, inner)
+        want = reference_merge_sorted(raw)
+        assert compose_entries(outer, inner) == want, (outer, inner)
+        assert _merge_sorted(raw) == want, raw
+        domains = {a for a, _ in inner}
+        covered += sum(a in domains for a, _ in raw)
+        split += sum(a not in domains for a, _ in raw)
+    assert covered > 500 and split > 500, (covered, split)
+
+
+def split_table(rng, table):
+    """The table with entries cut, at random, into sibling halves."""
+    out = []
+    for d, g in table:
+        if len(d) > 5 or rng.random() < 0.5:
+            out.append((d, g))
+        else:
+            halves = [(d + c, g + c) for c in "01"]
+            out.extend(split_table(rng, halves))
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_merge_sorted_matches_the_ten_condition_reference(seed):
+    # Refined tables merge back in cascades; random sorted pairs, the
+    # empty word among them, mostly do not merge.
+    rng = rng_from_seed(seed)
+    merged = 0
+    for _ in range(500):
+        table = random_v_group(rng, rng.randint(1, 4)).table
+        entries = sorted(split_table(rng, table))
+        assert _merge_sorted(entries) == table == reference_merge_sorted(
+            entries
+        )
+        merged += len(entries) > len(table)
+        pairs = sorted(
+            (rng.choice(WORDS[:31]), rng.choice(WORDS[:31]))
+            for _ in range(rng.randint(0, 12))
+        )
+        assert _merge_sorted(pairs) == reference_merge_sorted(pairs), pairs
+    assert merged > 300
+
+
+def fresh_group_key(g):
+    if isinstance(g, VGroupElement):
+        return ",".join(f"{d}->{w}" for d, w in g.table)
+    offsets = ",".join(str(t) for t in g.offsets)
+    exc = ";".join(f"{x[0]}.{x[1]}>{y[0]}.{y[1]}" for x, y in g.exceptions)
+    return f"g{offsets}:{exc}"
+
+
+def group_elements(seed):
+    """Seeded group elements of both systems, with products and inverses."""
+    rng = rng_from_seed(seed)
+    for _ in range(40):
+        for make in (
+            lambda: random_v_group(rng, 4),
+            lambda: random_h_group(rng, 2),
+            lambda: random_h_group(rng, 3, spread=3),
+        ):
+            g, h = make(), make()
+            yield from (g, h, g * h, g.inverse())
+
+
+def reference_apply(g, x):
+    for p, y in g.exceptions:
+        if p == x:
+            return y
+    i, p = x
+    return (i, p + g.offsets[i - 1])
+
+
+def reference_preimage(g, y):
+    for x, q in g.exceptions:
+        if q == y:
+            return x
+    i, q = y
+    return (i, q - g.offsets[i - 1])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cached_group_data_matches_fresh_values(seed):
+    kinds = collections.Counter()
+    for g in group_elements(seed):
+        cold = type(g)(*compared(g))  # the same value, with empty caches
+        key = g.key()
+        assert key == fresh_group_key(g) and g.key() is key, g
+        assert g._key == key
+        if isinstance(g, HGroupElement):
+            top = 3 + max(
+                (p for pair in g.exceptions for _, p in pair), default=0
+            )
+            for x in itertools.product(range(1, g.n + 1), range(1, top)):
+                assert g.apply(x) == reference_apply(g, x), (g, x)
+                assert g.preimage(x) == reference_preimage(g, x), (g, x)
+                assert g.preimage(g.apply(x)) == x, (g, x)
+            assert g._images == dict(g.exceptions)
+        # The caches take no part in equality, hashing or repr.
+        assert g == cold and repr(g) == repr(cold) and hash(g) == hash(cold)
+        assert hash(g) == hash(tuple(compared(g)))
+        assert cold.key() == key
+        kinds[type(g)] += 1
+    assert kinds[VGroupElement] > 100 and kinds[HGroupElement] > 200
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_piece_regions_match_fresh_regions(n, seed):
+    system = HoughtonSystem(n)
+    rng = rng_from_seed(seed)
+    pieces = tails = 0
+    for h in range(n + 1, n + 6):
+        # Between two vertices, so that a tail can move.
+        v, u = (random_vertex(system, rng, h) for _ in "vu")
+        for a, b in itertools.product(v, u):
+            piece = system.transfer(a, b)
+            if piece is None:
+                continue
+            cold = HPiece(piece.point_pairs, piece.tail_pair)
+            ends = [(), ()]
+            if piece.tail_pair is not None:
+                ends = [[piece.tail_pair[0]], [piece.tail_pair[1]]]
+                tails += ends[0] != ends[1]
+            pieces += 1
+            regions = piece.regions()
+            assert regions == (
+                SparseRegion.make([x for x, _ in piece.point_pairs], ends[0]),
+                SparseRegion.make([y for _, y in piece.point_pairs], ends[1]),
+            ), piece
+            assert regions == (a.support(), b.support())
+            assert piece.regions() is regions
+            assert piece == cold and repr(piece) == repr(cold)
+    assert pieces > 50 and tails > 5, (pieces, tails)
