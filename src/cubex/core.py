@@ -387,7 +387,8 @@ class ExpansionSystem:
             contractions = glued.get(basin)
             if contractions is None:
                 contractions = glued[basin] = [
-                    Move.contract(t) for t in self.coexpansions(basin)
+                    Move("contract", t, basin, frozenset((t,)))
+                    for t in self.coexpansions(basin)
                 ]
             yield from contractions
 

@@ -52,14 +52,22 @@ class Cube:
         return self.base.key() + "#" + "|".join(b.key() for b in self.active)
 
 
+def _corner(c, on):
+    """The element set of c's corner with the active elements `on`
+    expanded: the base without them, with their children."""
+    return c.base.as_set().difference(on).union(
+        kid for b in on for kid in b.children()
+    )
+
+
 def cube_vertices(c):
-    """All 2^dim vertices of the cube, sorted by canonical key."""
-    out = []
-    for r in range(c.dim + 1):
-        for on in itertools.combinations(c.active, r):
-            elements = [b for b in c.base if b not in on]
-            elements += [kid for b in on for kid in b.children()]
-            out.append(_vertex_unchecked(elements))
+    """All 2^dim vertices of the cube, sorted by canonical key.  Only for
+    callers that want the list: no cube question below enumerates."""
+    out = [
+        _vertex_unchecked(_corner(c, on))
+        for r in range(c.dim + 1)
+        for on in itertools.combinations(c.active, r)
+    ]
     out.sort(key=Vertex.key)
     if len(set(out)) != len(out):
         raise InputError("cube has coincident corners")
@@ -72,9 +80,7 @@ def vertex_on_set(c, w):
     the base gives w."""
     members = w.as_set()
     on = frozenset(b for b in c.active if b not in members)
-    kids = (kid for b in on for kid in b.children())
-    corner = c.base.as_set().difference(on).union(kids)
-    return on if corner == members else None
+    return on if _corner(c, on) == members else None
 
 
 def vertex_in_cube(c, w):
@@ -84,20 +90,46 @@ def vertex_in_cube(c, w):
 def cube_intersection(c1, c2):
     """The cube carrying the common vertices of c1 and c2, or None.
 
-    Finds the minimal-height common vertex v and returns the cube based
-    at v whose active set collects the elements still unexpanded in v on
-    both sides; its vertex set equals the literal intersection of the
-    two cubes' vertex sets.
+    A walk from both bases expands only what it is forced to.  Side i
+    can ever hold only its base and the children of its active
+    elements; call that its reach.  An element of side i's corner that
+    side j's reach lacks is in no common vertex, so it is forced: every
+    common vertex expands it on side i, and if it is not an active
+    element there (a child, or an inactive base element), no common
+    vertex exists.  Forcing depends on the reach alone, so each element
+    is looked at once, as it enters its side's corner.
+
+    When nothing is left to force, the two corners are equal.  Were x in
+    corner 1 and not in corner 2, then x, in reach 2, is not a base
+    element of side 2 (side 2 expands only what reach 1 lacks), so it is
+    a child of an active a2 side 2 has not expanded.  That a2 is in
+    corner 2, not in corner 1 (it overlaps x), and so, by the same
+    argument, a child of an unexpanded active a1 in corner 1, whose
+    support then strictly holds x's, also in corner 1: impossible.
+
+    The walk ends at a common vertex v, and every common vertex expands
+    at least what it expanded, so v is the one of least height.  The
+    common vertices are then exactly v with any subset of the elements
+    both sides still may expand: the cube returned, whose vertex set
+    equals the literal intersection of the two cubes' vertex sets.
     """
-    small, large = (c1, c2) if c1.dim <= c2.dim else (c2, c1)
-    common = [w for w in cube_vertices(small) if vertex_in_cube(large, w)]
-    if not common:
-        return None
-    v = min(common, key=lambda w: (w.height, w.key()))
-    on1 = vertex_on_set(c1, v)
-    on2 = vertex_on_set(c2, v)
-    active = (set(c1.active) - on1) & (set(c2.active) - on2)
-    return Cube.make(v, active)
+    cubes = (c1, c2)
+    reach = [
+        c.base.as_set().union(kid for b in c.active for kid in b.children())
+        for c in cubes
+    ]
+    collapsed = [set(c.active) for c in cubes]
+    entered = [(i, b) for i, c in enumerate(cubes) for b in c.base]
+    while entered:
+        i, b = entered.pop()
+        if b in reach[1 - i]:
+            continue
+        if b not in collapsed[i]:
+            return None
+        collapsed[i].remove(b)
+        entered += ((i, kid) for kid in b.children())
+    v = _vertex_unchecked(_corner(c1, set(c1.active) - collapsed[0]))
+    return Cube.make(v, collapsed[0] & collapsed[1])
 
 
 @dataclass(frozen=True)
@@ -106,7 +138,8 @@ class LemmaReport:
 
     For every base element of the first cube lying in the basin of an
     active element of the second, that element must belong to every
-    vertex the cubes share.
+    vertex the cubes share.  `violations` holds the hypotheses that
+    fail.
     """
 
     hypotheses: tuple
@@ -119,17 +152,20 @@ class LemmaReport:
 
 
 def intersection_lemma_check(c1, c2):
+    """The shared vertices are the corners of the meet, so the elements
+    in all of them are the meet's base elements that are not active."""
     hypotheses = tuple(
         (b, b2)
         for b in c1.base
         for b2 in c2.active
         if b in b2.children()
     )
-    shared = [w for w in cube_vertices(c1) if vertex_in_cube(c2, w)]
-    violations = tuple(
-        (b, w) for b, _ in hypotheses for w in shared if b not in w
-    )
-    return LemmaReport(hypotheses, len(shared), violations)
+    meet = cube_intersection(c1, c2)
+    if meet is None:
+        return LemmaReport(hypotheses, 0, ())
+    kept = meet.base.as_set().difference(meet.active)
+    violations = tuple(h for h in hypotheses if h[0] not in kept)
+    return LemmaReport(hypotheses, 2**meet.dim, violations)
 
 
 def _cliques(moves, max_size):
@@ -159,9 +195,6 @@ class LinkGraph:
     edges: frozenset  # pairs (i, j) with i < j
     neighbors: tuple  # neighbor vertex per node
 
-    def adjacent(self, i, j):
-        return (min(i, j), max(i, j)) in self.edges
-
 
 @dataclass(frozen=True)
 class FlagReport:
@@ -171,7 +204,6 @@ class FlagReport:
     cliques_checked: int
     failures: tuple
     square_mismatches: tuple
-    neighbor_map_injective: bool  # always: `link_graph` raises otherwise
 
     @property
     def passed(self):
@@ -255,7 +287,6 @@ class CubeComplex:
         failures = []
         checked = 0
         squares = set()
-        n = len(lg.nodes)
         for clique in _cliques(lg.nodes, max_clique):
             if not clique:
                 continue
@@ -271,28 +302,24 @@ class CubeComplex:
             if not ok:
                 failures.append(tuple(moves))
             elif len(clique) == 2:
-                corners = [w for w in cube_vertices(cube) if w != v]
-                squares.update(
-                    map(frozenset, itertools.combinations(corners, 2))
-                )
+                squares.add(clique)
 
-        # A passed 2-cube holds v.  The neighbours differ from v and from
-        # each other (`link_graph` raises otherwise), so a 2-cube through
-        # v and neighbours i and j exists iff their pair is recorded.
+        # A passed 2-cube of clique (i, j) has corners v, neighbours i
+        # and j, and a fourth that differs from v in two disjoint basins,
+        # so it is no neighbour.  Neighbours are distinct (`link_graph`
+        # raises otherwise), so a 2-cube through v and neighbours i and j
+        # exists iff (i, j) passed; a clique is an edge, so every
+        # mismatch is an edge that did not pass.
         mismatches = [
-            (lg.nodes[i], lg.nodes[j])
-            for i, j in itertools.combinations(range(n), 2)
-            if (frozenset((lg.neighbors[i], lg.neighbors[j])) in squares)
-            != lg.adjacent(i, j)
+            (lg.nodes[i], lg.nodes[j]) for i, j in sorted(lg.edges - squares)
         ]
         return FlagReport(
             v,
-            n,
+            len(lg.nodes),
             len(lg.edges),
             checked,
             tuple(failures),
             tuple(mismatches),
-            True,
         )
 
     # -- joins ---------------------------------------------------------------

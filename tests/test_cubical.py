@@ -32,6 +32,7 @@ from cubex import core, cubical, houghton, thompson
 from cubex.core import AscendingPath
 from cubex.cubical import _check_closed, _cliques
 from cubex.oracle import (
+    brute_corners,
     brute_cube_intersection,
     brute_neighbor_count,
     brute_neighbors,
@@ -207,6 +208,122 @@ def test_intersection_matches_brute_force(seed):
     assert got in sx.cubes_at(got.base, got.dim)
 
 
+def enumerating_lemma_check(c1, c2):
+    """`intersection_lemma_check`'s verdict and shared count as the loop
+    it replaced computed them: every corner of c1 tested for membership
+    of c2, and each hypothesis tested against every shared corner."""
+    hypotheses = [b for b in c1.base for b2 in c2.active if b in b2.children()]
+    shared = [w for w in cube_vertices(c1) if vertex_in_cube(c2, w)]
+    passed = all(b in w for b in hypotheses for w in shared)
+    return passed, len(shared)
+
+
+PAIR_KINDS = ("corner", "base", "unrelated")
+
+
+def seeded_cube_pair(system, rng, kind, max_dim):
+    """Two random cubes: the second through a corner of the first, through
+    its base, or through an unrelated vertex (then mostly disjoint)."""
+    low = system.base_vertex().height
+    c1 = random_cube_at(
+        system, rng, random_vertex(system, rng, low + rng.randint(0, 9)),
+        max_dim,
+    )
+    if kind == "corner":
+        w = rng.choice(cube_vertices(c1))
+    elif kind == "base":
+        w = c1.base
+    else:
+        w = random_vertex(system, rng, low + rng.randint(0, 9))
+    return c1, random_cube_at(system, rng, w, max_dim)
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@pytest.mark.parametrize(
+    "system",
+    [vs, HoughtonSystem(2), HoughtonSystem(3)],
+    ids=["v", "houghton2", "houghton3"],
+)
+def test_intersection_walk_matches_enumeration(system, seed):
+    rng = rng_from_seed(seed)
+    meets = {kind: 0 for kind in PAIR_KINDS}
+    for _ in range(30):
+        for kind in PAIR_KINDS:
+            c1, c2 = seeded_cube_pair(system, rng, kind, 8)
+            got = cube_intersection(c1, c2)
+            want = brute_cube_intersection(c1, c2)
+            assert (set() if got is None else set(cube_vertices(got))) == want
+            for a, b in ((c1, c2), (c2, c1)):
+                rep = intersection_lemma_check(a, b)
+                want = enumerating_lemma_check(a, b)
+                assert (rep.passed, rep.shared) == want
+            meets[kind] += got is not None
+    # Pairs through one vertex always meet; unrelated ones mostly do not.
+    assert meets["corner"] == meets["base"] == 30
+    assert meets["unrelated"] < 15
+
+
+@given(seeds, st.sampled_from(PAIR_KINDS))
+@settings(max_examples=40, deadline=None)
+def test_intersection_corners_lie_in_both_cubes(seed, kind):
+    rng = random.Random(seed)
+    system = rng.choice([vs, HoughtonSystem(2), HoughtonSystem(3)])
+    c1, c2 = seeded_cube_pair(system, rng, kind, 5)
+    got = cube_intersection(c1, c2)
+    if got is None:
+        return
+    for w in cube_vertices(got):
+        assert vertex_in_cube(c1, w) and vertex_in_cube(c2, w)
+        assert w.height >= got.base.height
+
+
+def test_cube_questions_list_no_corners(monkeypatch):
+    def refuse(c):
+        raise AssertionError("corners listed")
+
+    # The flag reports are taken before corner listing is refused, and
+    # the meets are checked against the oracle, which lists its own.
+    rng = rng_from_seed(7)
+    cases = []
+    for system in (vs, HoughtonSystem(2), HoughtonSystem(3)):
+        v = random_vertex(system, rng, system.base_vertex().height + 3)
+        flag = CubeComplex(system).check_flag(v, 3)
+        pairs = [seeded_cube_pair(system, rng, k, 4) for k in PAIR_KINDS]
+        cases.append((system, v, flag, pairs))
+
+    # The sixteen depth-4 balls, all active, against the cube based at
+    # its corner with the first eight expanded, with the other eight and
+    # one child of each expanded ball active: a meet of dimension 8.
+    words = [format(i, "04b") for i in range(16)]
+    balls = [ball(w) for w in words]
+    big = Cube.make(validate_vertex(balls), balls)
+    halves = [ball(w + d) for w in words[:8] for d in "01"]
+    corner = validate_vertex(halves + balls[8:])
+    half = Cube.make(corner, halves[::2] + balls[8:])
+    # A cube that keeps ball 000 collapsed can share nothing with `big`.
+    far = Cube.make(validate_vertex([ball("000")] + balls[2:]), balls[2:])
+
+    monkeypatch.setattr(cubical, "cube_vertices", refuse)
+    for system, v, flag, pairs in cases:
+        assert CubeComplex(system).check_flag(v, 3) == flag
+        for c1, c2 in pairs:
+            meet = cube_intersection(c1, c2)
+            corners = set() if meet is None else brute_corners(meet)
+            assert corners == brute_cube_intersection(c1, c2)
+            assert intersection_lemma_check(c1, c2).shared == len(corners)
+
+    assert cube_intersection(big, big) == big
+    assert intersection_lemma_check(big, big).shared == 2**16
+    meet = cube_intersection(big, half)
+    assert meet == cube_intersection(half, big)
+    assert meet.base == corner and meet.dim == 8
+    for a, b in ((big, half), (half, big)):
+        rep = intersection_lemma_check(a, b)
+        assert rep.passed and rep.shared == 2**8
+    assert cube_intersection(big, far) is None
+    assert intersection_lemma_check(far, big).shared == 0
+
+
 # -- links and the flag condition -----------------------------------------------------
 
 
@@ -283,7 +400,7 @@ def reference_check_flag(cx, v, max_clique):
         for j in range(i + 1, n):
             wanted = {v, lg.neighbors[i], lg.neighbors[j]}
             square = any(wanted <= verts for verts in two_cliques.values())
-            if square != lg.adjacent(i, j):
+            if square != ((i, j) in lg.edges):
                 mismatches.append((lg.nodes[i], lg.nodes[j]))
     return tuple(failures), tuple(mismatches)
 
@@ -531,6 +648,20 @@ def test_moves_with_a_shared_dict_equal_moves_with_a_fresh_one(name):
         candidates += sum(1 for _ in system.contraction_candidates(v))
     # The shared dict was hit, not just filled.
     assert len(glued) < candidates
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_memoised_contractions_keep_their_key_as_basin(name):
+    system = _SYSTEMS[name]()
+    glued = {}
+    for v in CubeComplex(system).bfs(_seeded_start(system, 7), 2).vertices:
+        list(system.moves(v, glued))
+    contractions = [(key, m) for key, ms in glued.items() for m in ms]
+    assert contractions
+    for key, m in contractions:
+        assert m.basin is key
+        assert m.basin == frozenset(m.target.children())
+        assert m.gain == frozenset((m.target,))
 
 
 # -- stabilizers -------------------------------------------------------------------------------
