@@ -98,7 +98,7 @@ class Vertex:
         return len(self.elements)
 
     def __contains__(self, b):
-        return b in self.elements
+        return b in self.as_set()
 
     def key(self):
         return "|".join(b.key() for b in self.elements)
@@ -136,9 +136,13 @@ def _vertex_unchecked(elements):
     """A Vertex of `elements`, put in key order but not checked.
 
     Only for elements disjoint by construction, such as the corners of
-    a cube (see `ExpansionSystem`).
+    a cube (see `ExpansionSystem`).  A frozenset given is kept as the
+    vertex's member set.
     """
-    return Vertex(tuple(sorted(elements, key=_element_key)))
+    v = Vertex(tuple(sorted(elements, key=_element_key)))
+    if isinstance(elements, frozenset):
+        object.__setattr__(v, "_set", elements)
+    return v
 
 
 def _element_key(b):
@@ -250,7 +254,8 @@ def ascend(v, pick):
     the current vertex that `pick` accepts, until it accepts none.  A
     vertex is in key order and `pick` is pure, so the accepted elements
     wait in a list kept in key order, and an expansion adds only accepted
-    children."""
+    children.  Each target is in the current vertex, so each step is a
+    vertex by construction and is not checked again."""
     vertices = [v]
     moves = []
     accepted = [(b.key(), b) for b in v if pick(b)]
@@ -258,7 +263,7 @@ def ascend(v, pick):
         _, target = accepted.pop(0)
         m = Move.expand(target)
         moves.append(m)
-        vertices.append(apply_move(vertices[-1], m))
+        vertices.append(_vertex_unchecked(m.after(vertices[-1].as_set())))
         for kid in target.children():
             if pick(kid):
                 insort(accepted, (kid.key(), kid))
@@ -276,8 +281,9 @@ class ExpansionSystem:
     construction hold in every system: the supports of an element's
     children tile its support, and the support of each coexpansion of
     a basin is the union of the basin's supports.  So moves keep a
-    vertex's supports pairwise disjoint, and the corners of a cube,
-    which are reached from its base by moves, skip `validate_vertex`.
+    vertex's supports pairwise disjoint, and a vertex reached by moves
+    whose basins it holds skips `validate_vertex`: the corners and
+    bases of cubes, the neighbours in a link, and ascent steps.
 
     The region type supplies a normalizing `make` and a static
     `all_disjoint(regions)`, the one kernel that decides whether a

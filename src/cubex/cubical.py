@@ -19,6 +19,7 @@ from .core import (
     CapExceeded,
     InputError,
     Move,
+    MoveNotApplicable,
     NotABijection,
     Vertex,
     _vertex_unchecked,
@@ -168,22 +169,65 @@ def intersection_lemma_check(c1, c2):
     return LemmaReport(hypotheses, 2**meet.dim, violations)
 
 
-def _cliques(moves, max_size):
-    """Index tuples of the cliques of moves with pairwise disjoint basins,
-    up to max_size, in depth-first order from the empty clique."""
+def _disjoint_pairs(moves):
+    """The index pairs (i, j), i < j, of moves with disjoint basins."""
+    return frozenset(
+        (i, j)
+        for i, j in itertools.combinations(range(len(moves)), 2)
+        if moves[i].basin.isdisjoint(moves[j].basin)
+    )
 
-    def extend(clique, start):
+
+def _cliques(n, pairs, max_size):
+    """Index tuples of the cliques, up to max_size, of the graph on
+    range(n) whose edges are the pairs i < j in `pairs`, in depth-first
+    order from the empty clique.  A clique's candidates are the later
+    indices adjacent to all its members, so each extension only filters
+    its parent's list."""
+
+    def extend(clique, candidates):
         yield tuple(clique)
-        if len(clique) >= max_size:
-            return
-        for i in range(start, len(moves)):
-            basin = moves[i].basin
-            if all(basin.isdisjoint(moves[j].basin) for j in clique):
+        if len(clique) < max_size:
+            for i in candidates:
                 clique.append(i)
-                yield from extend(clique, i + 1)
+                yield from extend(
+                    clique, [j for j in candidates if (i, j) in pairs]
+                )
                 clique.pop()
 
-    return extend([], 0)
+    return extend([], range(n))
+
+
+def _reached(v, moves):
+    """The vertex v reaches by `moves`: v without their basins, plus what
+    they put in their place.  MoveNotApplicable unless v holds each basin
+    and the basins are pairwise disjoint; then no move disturbs another,
+    and the result is a vertex by construction, not checked again."""
+    members = v.as_set()
+    taken = set()
+    for m in moves:
+        if not members.issuperset(m.basin) or not taken.isdisjoint(m.basin):
+            raise MoveNotApplicable("basin not contained in vertex")
+        taken.update(m.basin)
+    return _vertex_unchecked(
+        members.difference(taken).union(*(m.gain for m in moves))
+    )
+
+
+def _clique_cubes(v, moves):
+    """A function from a clique, a sequence of indices into `moves`, to
+    the cube its moves span at v.  The base is v after the clique's
+    contractions, and each distinct set of them is built into a base
+    once; with none, the base is v itself."""
+    bases = {(): v}
+
+    def cube(clique):
+        down = tuple(i for i in clique if moves[i].kind == "contract")
+        if down not in bases:
+            bases[down] = _reached(v, [moves[i] for i in down])
+        return Cube.make(bases[down], [moves[i].target for i in clique])
+
+    return cube
 
 
 @dataclass(frozen=True)
@@ -236,17 +280,13 @@ class CubeComplex:
         return sorted(self.system.moves(v, glued), key=Move.sort_key)
 
     def neighbors(self, v):
-        return [(m, apply_move(v, m)) for m in self.moves_at(v)]
+        return [(m, _reached(v, (m,))) for m in self.moves_at(v)]
 
     # -- cubes --------------------------------------------------------------
 
     def cube_from_moves(self, v, moves):
         """The cube spanned at v by moves with pairwise disjoint basins."""
-        cur = v
-        for m in moves:
-            if m.kind == "contract":
-                cur = apply_move(cur, m)
-        return Cube.make(cur, [m.target for m in moves])
+        return _clique_cubes(v, moves)(range(len(moves)))
 
     def cubes_at(self, v, max_dim):
         """One cube per clique of disjoint-basin moves at v, up to max_dim.
@@ -256,22 +296,16 @@ class CubeComplex:
         cube of the ascending star.
         """
         moves = self.moves_at(v)
-        return [
-            self.cube_from_moves(v, [moves[i] for i in clique])
-            for clique in _cliques(moves, max_dim)
-        ]
+        cube = _clique_cubes(v, moves)
+        cliques = _cliques(len(moves), _disjoint_pairs(moves), max_dim)
+        return [cube(clique) for clique in cliques]
 
     # -- link and flag condition ---------------------------------------------
 
     def link_graph(self, v):
         moves = self.moves_at(v)
-        edges = frozenset(
-            (i, j)
-            for i in range(len(moves))
-            for j in range(i + 1, len(moves))
-            if moves[i].basin.isdisjoint(moves[j].basin)
-        )
-        neighbors = tuple(apply_move(v, m) for m in moves)
+        edges = _disjoint_pairs(moves)
+        neighbors = tuple(_reached(v, (m,)) for m in moves)
         if len(set(neighbors)) != len(neighbors):
             raise RuntimeError("distinct moves reached the same neighbor")
         return LinkGraph(v, tuple(moves), edges, neighbors)
@@ -284,16 +318,17 @@ class CubeComplex:
         the existence of a 2-cube through v and both neighbors.
         """
         lg = self.link_graph(v)
+        cube_of = _clique_cubes(v, lg.nodes)
         failures = []
         checked = 0
         squares = set()
-        for clique in _cliques(lg.nodes, max_clique):
+        for clique in _cliques(len(lg.nodes), lg.edges, max_clique):
             if not clique:
                 continue
             checked += 1
             moves = [lg.nodes[i] for i in clique]
             try:
-                cube = self.cube_from_moves(v, moves)
+                cube = cube_of(clique)
                 ok = vertex_in_cube(cube, v) and all(
                     vertex_in_cube(cube, lg.neighbors[i]) for i in clique
                 )

@@ -4,15 +4,18 @@ import pytest
 
 from cubex import (
     DuplicateElement,
+    HoughtonSystem,
     Move,
     MoveNotApplicable,
     OverlappingSupports,
     VElement,
+    Vertex,
     VSystem,
     apply_move,
     glue,
     validate_vertex,
 )
+from cubex.oracle import random_vertex, rng_from_seed
 from cubex.thompson import BallRegion
 
 
@@ -36,6 +39,25 @@ def test_validate_vertex_rejects_nested_balls():
 def test_validate_vertex_rejects_duplicates():
     with pytest.raises(DuplicateElement):
         validate_vertex([ball("0"), ball("0")])
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+def test_membership_agrees_with_the_tuple_scan(seed):
+    # Probes: the elements of every vertex and their children; each
+    # vertex is asked both as built and fresh, with no member set kept.
+    rng = rng_from_seed(seed)
+    hits = 0
+    for system in (VSystem(), HoughtonSystem(2), HoughtonSystem(3)):
+        low = system.base_vertex().height
+        vertices = [random_vertex(system, rng, low + k) for k in range(6)]
+        probes = {b for v in vertices for b in v}
+        probes.update(k for b in list(probes) for k in b.children() or ())
+        for v in vertices:
+            for w in (v, Vertex(v.elements)):
+                for b in probes:
+                    assert (b in w) == any(b == e for e in w.elements)
+                    hits += b in w
+    assert hits > 100
 
 
 def test_five_element_vertex_is_valid():

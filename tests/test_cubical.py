@@ -1,5 +1,6 @@
 """Cubes, links, intersections, joins, exploration, stabilizers."""
 
+import itertools
 import math
 import random
 import zlib
@@ -16,6 +17,7 @@ from cubex import (
     HoughtonSystem,
     InputError,
     Move,
+    MoveNotApplicable,
     VElement,
     VGroupElement,
     VSystem,
@@ -30,7 +32,7 @@ from cubex import (
 )
 from cubex import core, cubical, houghton, thompson
 from cubex.core import AscendingPath
-from cubex.cubical import _check_closed, _cliques
+from cubex.cubical import _check_closed, _cliques, _disjoint_pairs
 from cubex.oracle import (
     brute_corners,
     brute_cube_intersection,
@@ -373,20 +375,62 @@ def test_square_exists_iff_basins_disjoint(seed):
         )
 
 
+def reference_pairs(moves):
+    """The disjoint-basin index pairs, each pair tested on its own."""
+    n = len(moves)
+    return frozenset(
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if moves[i].basin.isdisjoint(moves[j].basin)
+    )
+
+
+def reference_cliques(moves, max_size):
+    """`_cliques` as it was: each candidate tested against every member of
+    the clique, with no table of pairs."""
+
+    def extend(clique, start):
+        yield tuple(clique)
+        if len(clique) >= max_size:
+            return
+        for i in range(start, len(moves)):
+            basin = moves[i].basin
+            if all(basin.isdisjoint(moves[j].basin) for j in clique):
+                clique.append(i)
+                yield from extend(clique, i + 1)
+                clique.pop()
+
+    return extend([], 0)
+
+
+def reference_cube_from_moves(v, moves):
+    """`cube_from_moves` as it was: the contractions applied one at a time
+    by `apply_move`, so each base is checked by `validate_vertex`."""
+    cur = v
+    for m in moves:
+        if m.kind == "contract":
+            cur = apply_move(cur, m)
+    return Cube.make(cur, [m.target for m in moves])
+
+
 def reference_check_flag(cx, v, max_clique):
     """`check_flag`'s verdicts as the loop it replaced computed them: each
-    move pair tested against the corner set of every passed 2-cube."""
-    lg = cx.link_graph(v)
+    move pair tested against the corner set of every passed 2-cube, with
+    the cliques, bases, neighbours and edges of the references above."""
+    nodes = cx.link_graph(v).nodes
+    neighbors = [apply_move(v, m) for m in nodes]
+    edges = reference_pairs(nodes)
     failures = []
     two_cliques = {}
-    for clique in _cliques(lg.nodes, max_clique):
+    for clique in reference_cliques(nodes, max_clique):
         if not clique:
             continue
-        moves = [lg.nodes[i] for i in clique]
+        moves = [nodes[i] for i in clique]
         try:
-            cube = cx.cube_from_moves(v, moves)
+            cube = reference_cube_from_moves(v, moves)
             ok = vertex_in_cube(cube, v) and all(
-                vertex_in_cube(cube, lg.neighbors[i]) for i in clique
+                vertex_in_cube(cube, neighbors[i]) for i in clique
             )
         except InputError:
             ok = False
@@ -395,13 +439,13 @@ def reference_check_flag(cx, v, max_clique):
         elif len(clique) == 2:
             two_cliques[clique] = set(cube_vertices(cube))
     mismatches = []
-    n = len(lg.nodes)
+    n = len(nodes)
     for i in range(n):
         for j in range(i + 1, n):
-            wanted = {v, lg.neighbors[i], lg.neighbors[j]}
+            wanted = {v, neighbors[i], neighbors[j]}
             square = any(wanted <= verts for verts in two_cliques.values())
-            if square != ((i, j) in lg.edges):
-                mismatches.append((lg.nodes[i], lg.nodes[j]))
+            if square != ((i, j) in edges):
+                mismatches.append((nodes[i], nodes[j]))
     return tuple(failures), tuple(mismatches)
 
 
@@ -467,7 +511,7 @@ def test_join_dominates_with_unit_steps(seed):
 
 def reference_ascend(v, pick):
     """`core.ascend` as it was: the vertex rescanned from its first
-    element after every expansion."""
+    element after every expansion, and each step built by `apply_move`."""
     vertices = [v]
     moves = []
     while True:
@@ -486,7 +530,10 @@ def reference_ascend(v, pick):
     ids=["v", "houghton2", "houghton3"],
 )
 def test_join_paths_match_the_rescanning_ascend(system, seed, monkeypatch):
-    # Both standardizing paths and both paths up to the join.
+    # Both standardizing paths and both paths up to the join, and each
+    # vertex's standardizing path.  Their steps are built unchecked, so
+    # each path must also pass the checked `AscendingPath.check`, and
+    # each step keep its own element set.
     rng = rng_from_seed(seed)
     sx = CubeComplex(system)
     low = system.base_vertex().height
@@ -496,10 +543,185 @@ def test_join_paths_match_the_rescanning_ascend(system, seed, monkeypatch):
     ]
     pairs = list(zip(vertices[::2], vertices[1::2]))
     got = [sx.join(v1, v2) for v1, v2 in pairs]
+    standard = [system.standardize(v) for v in vertices]
+    for path in standard + [p for _, p1, p2 in got for p in (p1, p2)]:
+        assert path.check()
+        assert all(u.as_set() == frozenset(u.elements) for u in path.vertices)
     for module in (core, thompson, houghton, cubical):
         monkeypatch.setattr(module, "ascend", reference_ascend)
     assert got == [sx.join(v1, v2) for v1, v2 in pairs]
+    assert standard == [system.standardize(v) for v in vertices]
     assert sum(len(p1) + len(p2) for _, p1, p2 in got) > 100
+
+
+# -- vertices built by construction ----------------------------------------------------------
+
+BUILT_SYSTEMS = pytest.mark.parametrize(
+    "system",
+    [vs, HoughtonSystem(2), HoughtonSystem(3)],
+    ids=["v", "houghton2", "houghton3"],
+)
+
+
+def seeded_vertices(system, seed, count, span):
+    """`count` seeded vertices, from the base height to `span` above it."""
+    rng = rng_from_seed(seed)
+    low = system.base_vertex().height
+    return [
+        random_vertex(system, rng, rng.randint(low, low + span))
+        for _ in range(count)
+    ]
+
+
+def keeps_its_set(w):
+    return w.as_set() == frozenset(w.elements)
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@BUILT_SYSTEMS
+def test_cube_bases_match_the_apply_move_chain(system, seed, monkeypatch):
+    # Every cube `cubes_at` and `check_flag` build is recorded and then
+    # built again by the chain of checked moves.
+    sx = CubeComplex(system)
+    built = []
+    real = cubical._clique_cubes
+
+    def recording(v, moves):
+        cube_of = real(v, moves)
+
+        def record(clique):
+            cube = cube_of(clique)
+            built.append((v, [moves[i] for i in clique], cube))
+            return cube
+
+        return record
+
+    monkeypatch.setattr(cubical, "_clique_cubes", recording)
+    for v in seeded_vertices(system, seed, 12, 4):
+        moves = sx.moves_at(v)
+        assert sx.cubes_at(v, 3) == [
+            reference_cube_from_moves(v, [moves[i] for i in clique])
+            for clique in reference_cliques(moves, 3)
+        ]
+        assert sx.check_flag(v, 3).passed
+    for v, moves, cube in built:
+        assert cube == reference_cube_from_moves(v, moves)
+        assert keeps_its_set(cube.base)
+    assert sum(cube.base != v for v, _, cube in built) > 100
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@BUILT_SYSTEMS
+def test_link_neighbours_match_apply_move(system, seed):
+    sx = CubeComplex(system)
+    for v in seeded_vertices(system, seed, 12, 4):
+        lg = sx.link_graph(v)
+        assert lg.neighbors == tuple(apply_move(v, m) for m in lg.nodes)
+        assert all(keeps_its_set(w) for w in lg.neighbors)
+        assert lg.edges == reference_pairs(lg.nodes)
+        assert sx.neighbors(v) == list(zip(lg.nodes, lg.neighbors))
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@BUILT_SYSTEMS
+def test_cliques_match_the_all_pairs_walk(system, seed):
+    sx = CubeComplex(system)
+    sizes = set()
+    for v in seeded_vertices(system, seed, 6, 5):
+        moves = sx.moves_at(v)
+        pairs = _disjoint_pairs(moves)
+        for k in range(1, 7):
+            got = list(_cliques(len(moves), pairs, k))
+            assert got == list(reference_cliques(moves, k)), (v, k)
+            sizes.update(len(c) for c in got)
+    # On houghton every basin holds a branch's ray, so a clique has at
+    # most n moves.
+    assert max(sizes) >= (5 if system is vs else system.n)
+
+
+def test_cube_from_moves_rejects_basins_outside_or_overlapping():
+    outside = Move.contract(ball("0"))  # basin {00, 01}
+    for build in (cx.cube_from_moves, reference_cube_from_moves):
+        with pytest.raises(MoveNotApplicable):
+            build(fig_vertex(), [outside])
+    quarters = validate_vertex([ball(w) for w in ("00", "01", "10", "11")])
+    contractions = [m for m in cx.moves_at(quarters) if m.kind == "contract"]
+    overlapping = [
+        (a, b)
+        for a, b in itertools.permutations(contractions, 2)
+        if not a.basin.isdisjoint(b.basin)
+    ]
+    assert overlapping
+    for pair in overlapping:
+        for build in (cx.cube_from_moves, reference_cube_from_moves):
+            with pytest.raises(MoveNotApplicable):
+                build(quarters, list(pair))
+
+
+def test_check_flag_counts_an_unbuildable_clique_as_a_failure(monkeypatch):
+    # Every pair of moves is offered as a clique; those with overlapping
+    # basins, and only those, must fail.
+    def every_pair(n, pairs, max_size):
+        for k in range(3):
+            yield from itertools.combinations(range(n), k)
+
+    monkeypatch.setattr(cubical, "_cliques", every_pair)
+    quarters = validate_vertex([ball(w) for w in ("00", "01", "10", "11")])
+    lg = cx.link_graph(quarters)
+    rep = cx.check_flag(quarters, 2)
+    assert rep.failures == tuple(
+        (lg.nodes[i], lg.nodes[j])
+        for i, j in itertools.combinations(range(len(lg.nodes)), 2)
+        if (i, j) not in lg.edges
+    )
+    assert any(a.kind == b.kind == "contract" for a, b in rep.failures)
+    assert not rep.square_mismatches
+
+
+def count_checked_builds(monkeypatch, system):
+    """Per builder, one flag per call: was it made inside `join_standard`?"""
+    calls = {"validate_vertex": [], "apply_move": []}
+    inside = []
+    for name, log in calls.items():
+        real = getattr(core, name)
+
+        def counted(*args, _real=real, _log=log):
+            _log.append(bool(inside))
+            return _real(*args)
+
+        for module in (core, cubical, thompson, houghton):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    join_standard = type(system).join_standard
+
+    def marked(self, s1, s2):
+        inside.append(True)
+        try:
+            return join_standard(self, s1, s2)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(type(system), "join_standard", marked)
+    return calls
+
+
+@BUILT_SYSTEMS
+def test_cube_layer_makes_no_checked_builds(system, monkeypatch):
+    sx = CubeComplex(system)
+    vertices = seeded_vertices(system, 7, 10, 4)
+    calls = count_checked_builds(monkeypatch, system)
+    for v in vertices:
+        sx.cubes_at(v, 3)
+        sx.check_flag(v, 3)
+        sx.link_graph(v)
+        sx.neighbors(v)
+        system.standardize(v)
+    assert calls == {"validate_vertex": [], "apply_move": []}
+    for v1, v2 in zip(vertices[::2], vertices[1::2]):
+        sx.join(v1, v2)
+    assert calls["apply_move"] == []
+    assert len(calls["validate_vertex"]) == 5
+    assert all(calls["validate_vertex"])
 
 
 # -- exploration -----------------------------------------------------------------------------
