@@ -214,12 +214,17 @@ def _reached(v, moves):
     )
 
 
-def _clique_cubes(v, moves):
+def _clique_cubes(v, moves, neighbors=()):
     """A function from a clique, a sequence of indices into `moves`, to
     the cube its moves span at v.  The base is v after the clique's
     contractions, and each distinct set of them is built into a base
-    once; with none, the base is v itself."""
+    once; with none, the base is v itself.  `neighbors`, if given, are
+    the vertices the moves reach from v, so those of the contractions
+    are the bases of their one-move cliques."""
     bases = {(): v}
+    for i, w in enumerate(neighbors):
+        if moves[i].kind == "contract":
+            bases[(i,)] = w
 
     def cube(clique):
         down = tuple(i for i in clique if moves[i].kind == "contract")
@@ -318,7 +323,7 @@ class CubeComplex:
         the existence of a 2-cube through v and both neighbors.
         """
         lg = self.link_graph(v)
-        cube_of = _clique_cubes(v, lg.nodes)
+        cube_of = _clique_cubes(v, lg.nodes, lg.neighbors)
         failures = []
         checked = 0
         squares = set()
@@ -437,16 +442,24 @@ class CubeComplex:
         order, only the permutations whose every piece exists: exactly
         those a loop over all k! permutations would not abandon at a
         missing piece.  Each one is assembled, and the result is kept
-        iff it fixes v, so the list equals that loop's.  Raises
-        CapExceeded (carrying the sorted elements found so far) if more
-        than `cap` distinct elements would be collected.  The list is
-        then checked to be closed under inversion and, through the span
-        of a generating set drawn from it, under composition
+        iff it fixes v, so the list equals that loop's.  g fixes v iff
+        every g·b lies in v: v's k elements are distinct and g is a
+        bijection, so k images in v are v.  Raises CapExceeded
+        (carrying the sorted elements found so far) if more than `cap`
+        distinct elements would be collected.  The list is then checked
+        to be closed under inversion and, through the span of a
+        generating set drawn from it, under composition
         (`_check_closed`): the same statement that checking all |G|^2
-        products makes.
+        products makes.  The elements that the `_class_generators`
+        permutations assembled to are walked first.  They generate the
+        product of the classes' symmetric groups, so the walk forms |G|
+        products per class generator: two per element when one class
+        holds every element v's stabilizer moves.
         """
         els = list(v)
+        members = v.as_set()
         table = [[self.system.transfer(a, b) for b in els] for a in els]
+        seeds = dict.fromkeys(_class_generators(table))
         found = {}
         for perm in _admissible(table):
             try:
@@ -455,7 +468,7 @@ class CubeComplex:
                 )
             except NotABijection:
                 continue
-            if self.system.act_vertex(g, v) == v:
+            if all(self.system.act(g, b) in members for b in els):
                 key = g.key()
                 if key not in found and len(found) >= cap:
                     raise CapExceeded(
@@ -463,8 +476,11 @@ class CubeComplex:
                         partial=[found[k] for k in sorted(found)],
                     )
                 found[key] = g
+                if perm in seeds:
+                    seeds[perm] = g
         group = [found[k] for k in sorted(found)]
-        _check_closed(group, self.system.identity())
+        first = [g for g in seeds.values() if g is not None]
+        _check_closed(group, self.system.identity(), first)
         return group
 
 
@@ -490,48 +506,73 @@ def _admissible(table):
     return extend(0)
 
 
-def _check_closed(group, identity):
+def _class_generators(table):
+    """For each class of indices, the j with `table[i][j]` not None for
+    one i, the permutation that swaps its first two members and the one
+    that cycles it, each fixing every other index (both the identity,
+    for a class of one).  A transposition and a cycle generate the
+    symmetric group of their class."""
+    classes = dict.fromkeys(
+        tuple(j for j, piece in enumerate(row) if piece is not None)
+        for row in table
+    )
+    for members in classes:
+        swap = members[1::-1] + members[2:]
+        for images in (swap, members[1:] + members[:1]):
+            perm = list(range(len(table)))
+            for j, image in zip(members, images):
+                perm[j] = image
+            yield tuple(perm)
+
+
+def _check_closed(group, identity, first=()):
     """Raise InputError unless `group` is closed under inversion and
     composition.
 
     Inversion is checked element by element.  For composition, the
-    elements are walked in order, and one not yet in the span of the
+    entries of `first` that lie in `group`, then the elements of
+    `group`, are walked in order, and one not yet in the span of the
     generators taken so far becomes a generator; each product formed
-    must lie in the group.  The span starts as the identity and stays
-    closed under right multiplication by every generator: when t joins,
-    each old member is multiplied by t, and each new member by every
+    must lie in the group.  The span starts as the identity and stays closed
+    under right multiplication by every generator: when t joins, each
+    old member is multiplied by t, and each new member by every
     generator, until none is new.  An old member times an old generator
     was formed before, so the span is closed again: it is the span of
     the generators.  At the end every element lies in the span.  For a
     generator t, t^-1 is a member and so lies in the span, and the
     product t^-1 * t is formed: the identity is a member too.  So each
     h in the group is a product of generators t1...tm, and
-    g*h = (...(g*t1)...)*tm stays in the group.  This proves what
-    checking all |G|^2 products proves, with |G| products per generator.
+    g*h = (...(g*t1)...)*tm stays in the group.  Nothing here used the
+    order of the walk, only that every generator is drawn from the
+    group: so the verdict depends on `group` alone, and any such
+    generating set proves what checking all |G|^2 products proves, with
+    |G| products per generator.
+
+    Elements are compared as values, and the span is a dict, so the
+    products are formed in insertion order whatever the hash seed.
     """
-    members = {g.key() for g in group}
+    members = set(group)
     for g in group:
-        if g.inverse().key() not in members:
+        if g.inverse() not in members:
             raise InputError("stabilizer not closed under inversion")
     generators = []
-    span = {identity.key(): identity}
-    for g in group:
-        if g.key() in span:
+    span = {identity: None}
+    for g in itertools.chain([t for t in first if t in members], group):
+        if g in span:
             continue
         generators.append(g)
-        frontier, factors = list(span.values()), [g]
+        frontier, factors = list(span), [g]
         while frontier:
             grown = []
             for s in frontier:
                 for t in factors:
                     st = s * t
-                    key = st.key()
-                    if key not in members:
+                    if st not in members:
                         raise InputError(
                             "stabilizer not closed under composition"
                         )
-                    if key not in span:
-                        span[key] = st
+                    if st not in span:
+                        span[st] = None
                         grown.append(st)
             frontier, factors = grown, generators
 

@@ -62,11 +62,13 @@ def _nested_pair(words):
 
 
 def is_complete_code(words):
-    """True iff the balls named by `words` partition the whole space."""
-    ws = list(words)
-    if _nested_pair(ws):
+    """True iff the balls named by `words` partition the whole space.
+    No word may be nested in another (the adjacent test of
+    `_nested_pair`), and the balls' measures must sum to one."""
+    ws = sorted(words)
+    if any(map(str.startswith, ws[1:], ws)):
         return False
-    top = max((len(w) for w in ws), default=0)
+    top = max(map(len, ws), default=0)
     return sum(1 << (top - len(w)) for w in ws) == 1 << top
 
 
@@ -160,7 +162,13 @@ def compose_entries(outer, inner):
 
     The outer domain words are a sorted antichain: the one that is a
     prefix of an inner image b, if any, is the last word at or before b,
-    and those that extend b are the run that follows."""
+    and those that extend b are the run that follows.
+
+    The output needs no sort.  Each entry (a, b) yields words that
+    extend a, in order: a itself, or a followed by the sorted run's
+    suffixes.  The inner domains are a sorted antichain, so for a
+    before a' they differ at a place both reach, and every extension
+    of a sorts before every extension of a'."""
     domains = [c for c, _ in outer]
     out = []
     for a, b in inner:
@@ -173,7 +181,7 @@ def compose_entries(outer, inner):
             c, d = outer[i]
             out.append((a + c[len(b):], d))
             i += 1
-    return _merge_sorted(sorted(out))
+    return _merge_sorted(out)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,5 +1,6 @@
 """Cubes, links, intersections, joins, exploration, stabilizers."""
 
+import collections
 import itertools
 import math
 import random
@@ -32,7 +33,12 @@ from cubex import (
 )
 from cubex import core, cubical, houghton, thompson
 from cubex.core import AscendingPath
-from cubex.cubical import _check_closed, _cliques, _disjoint_pairs
+from cubex.cubical import (
+    _admissible,
+    _check_closed,
+    _cliques,
+    _disjoint_pairs,
+)
 from cubex.oracle import (
     brute_corners,
     brute_cube_intersection,
@@ -586,8 +592,8 @@ def test_cube_bases_match_the_apply_move_chain(system, seed, monkeypatch):
     built = []
     real = cubical._clique_cubes
 
-    def recording(v, moves):
-        cube_of = real(v, moves)
+    def recording(v, moves, *neighbors):
+        cube_of = real(v, moves, *neighbors)
 
         def record(clique):
             cube = cube_of(clique)
@@ -722,6 +728,46 @@ def test_cube_layer_makes_no_checked_builds(system, monkeypatch):
     assert calls["apply_move"] == []
     assert len(calls["validate_vertex"]) == 5
     assert all(calls["validate_vertex"])
+
+
+def flag_reports_and_builds(monkeypatch, vertices, share):
+    """`check_flag` on each (complex, vertex), with the link's neighbours
+    passed to `_clique_cubes` or held back, and the `_reached` calls."""
+    real_reached, real_cubes = cubical._reached, cubical._clique_cubes
+    builds = []
+
+    def reached(v, moves):
+        builds.append(len(moves))
+        return real_reached(v, moves)
+
+    def cubes(v, moves, neighbors=()):
+        return real_cubes(v, moves, neighbors if share else ())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cubical, "_reached", reached)
+        patch.setattr(cubical, "_clique_cubes", cubes)
+        reports = [sx.check_flag(v, 3) for sx, v in vertices]
+    return reports, builds
+
+
+def test_check_flag_builds_each_neighbour_once(monkeypatch):
+    # 100 seed-7 height-3 `v` and 100 height-4 `houghton` n=2 vertices:
+    # each contraction's neighbour was built again as its one-move base.
+    vertices = []
+    for system, height in ((vs, 3), (HoughtonSystem(2), 4)):
+        rng = rng_from_seed(7)
+        sx = CubeComplex(system)
+        vertices += [
+            (sx, random_vertex(system, rng, height)) for _ in range(100)
+        ]
+    shared, fewer = flag_reports_and_builds(monkeypatch, vertices, True)
+    held, more = flag_reports_and_builds(monkeypatch, vertices, False)
+    assert shared == held
+    contractions = sum(
+        m.kind == "contract" for sx, v in vertices for m in sx.moves_at(v)
+    )
+    assert len(more) - len(fewer) == contractions == 1000
+    assert fewer.count(2) == more.count(2)
 
 
 # -- exploration -----------------------------------------------------------------------------
@@ -918,6 +964,55 @@ def test_stabilizer_matches_brute(system, seed):
         assert complex_.stabilizer(v) == brute_stabilizer(system, v), h
 
 
+@pytest.mark.parametrize(
+    "system, height, tiling",
+    [
+        (VSystem(), 4, (thompson, "is_complete_code")),
+        (HoughtonSystem(2), 6, (HoughtonSystem, "covers_space")),
+    ],
+    ids=["v", "houghton2"],
+)
+def test_stabilizer_keeps_every_check(system, height, tiling, monkeypatch):
+    # Every admissible permutation is assembled and tiling-checked on
+    # both sides, every element is acted on at each of v's k elements,
+    # and the closure walk inverts each element once and forms two
+    # products per element: the class generators span the group.
+    v = random_vertex(system, rng_from_seed(7), height)
+    els = list(v)
+    admissible = len(
+        list(_admissible([[system.transfer(a, b) for b in els] for a in els]))
+    )
+    counts = collections.Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    group_type = type(system.identity())
+    for owner, name in (
+        (type(system), "assemble"),
+        tiling,
+        (type(system), "act"),
+        (group_type, "__mul__"),
+        (group_type, "inverse"),
+    ):
+        count(owner, name)
+    order = len(CubeComplex(system).stabilizer(v))
+    assert order == admissible == 24
+    assert counts == {
+        "assemble": order,
+        tiling[1]: 2 * order,
+        "act": len(els) * order,
+        "__mul__": 2 * order,
+        "inverse": order,
+    }
+
+
 CLOSURE_CASES = pytest.mark.parametrize(
     "case, message",
     [
@@ -937,6 +1032,8 @@ def assert_closure_check_rejects(system, v, swap, case, message):
     stab = CubeComplex(system).stabilizer(v)
     identity = system.identity()
     _check_closed(stab, identity)
+    # A non-member among the elements walked first is ignored.
+    _check_closed(stab, identity, [swap])
     involution = next(g for g in stab if g != identity and g * g == identity)
     three_cycle = next(g for g in stab if g * g != identity)
     dropped = {
@@ -950,8 +1047,9 @@ def assert_closure_check_rejects(system, v, swap, case, message):
         assert swap == swap.inverse() and swap not in stab
         broken = sorted(broken + [swap], key=type(swap).key)
     assert len(broken) == 6 - (case != "swap-in-non-member")
-    with pytest.raises(InputError, match=f"not closed under {message}"):
-        _check_closed(broken, identity)
+    for first in ((), [swap], [swap, *reversed(broken)]):
+        with pytest.raises(InputError, match=f"not closed under {message}"):
+            _check_closed(broken, identity, first)
 
 
 @CLOSURE_CASES
@@ -1001,9 +1099,9 @@ def reference_check_closed(group, identity):
             frontier = grown
 
 
-def closure_verdict(check, group, identity):
+def closure_verdict(check, group, identity, *first):
     try:
-        check(group, identity)
+        check(group, identity, *first)
     except InputError as err:
         return str(err)
     return None
@@ -1017,8 +1115,11 @@ def closure_verdict(check, group, identity):
 )
 def test_incremental_closure_check_matches_the_regrown_span(system, seed):
     # Whole stabilizers, and the same with one element dropped or one
-    # element of another vertex's stabilizer swapped in.
+    # element of another vertex's stabilizer swapped in.  The elements
+    # walked first, all of the group or some of it in shuffled order,
+    # do not change the verdict.
     rng = rng_from_seed(seed)
+    shuffler = random.Random(seed)
     complex_ = CubeComplex(system)
     identity = system.identity()
     verdicts = set()
@@ -1038,6 +1139,10 @@ def test_incremental_closure_check_matches_the_regrown_span(system, seed):
             ):
                 want = closure_verdict(reference_check_closed, group, identity)
                 assert closure_verdict(_check_closed, group, identity) == want
+                for size in (len(group), shuffler.randint(0, len(group))):
+                    first = shuffler.sample(group, size)
+                    got = closure_verdict(_check_closed, group, identity, first)
+                    assert got == want, first
                 verdicts.add(want)
     assert len(verdicts) == 3, verdicts
 

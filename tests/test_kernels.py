@@ -26,7 +26,10 @@ keeps are compared with their definition, and the one set equation of
 The group layer checks a group element once, where it is parsed.
 `assemble` asks one tiling rule of its pieces and is compared with the
 checks it replaced, kept here as the reference; group actions build
-unchecked and are compared with the checked builders.
+unchecked and are compared with the checked builders.  The tiling test
+`is_complete_code` is compared with its `_nested_pair` form, and the
+entries `compose_entries` builds, unsorted, with the all-pairs
+reference, which sorts them.
 """
 
 import collections
@@ -54,6 +57,7 @@ from cubex import (
     cube_vertices,
     validate_vertex,
 )
+from cubex import thompson
 from cubex.cubical import _admissible, vertex_on_set
 from cubex.houghton import CrossBranchTail, HPiece, SparseRegion
 from cubex.oracle import (
@@ -69,9 +73,11 @@ from cubex.thompson import (
     BallRegion,
     IncompleteDomainCode,
     _merge_sorted,
+    _nested_pair,
     _normalize_words,
     compose_entries,
     invert_entries,
+    is_complete_code,
 )
 
 DEPTH = 6
@@ -781,6 +787,23 @@ def test_compose_entries_matches_the_all_pairs_reference(seed):
     assert covered > 500 and split > 500, (covered, split)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_compose_entries_builds_its_entries_in_domain_order(seed, monkeypatch):
+    # The raw list handed to `_merge_sorted` needs no sort.
+    raws = []
+
+    def recording(entries):
+        raws.append(list(entries))
+        return _merge_sorted(entries)
+
+    monkeypatch.setattr(thompson, "_merge_sorted", recording)
+    for outer, inner in composed_tables(seed):
+        raws.clear()
+        compose_entries(outer, inner)
+        (raw,) = raws
+        assert raw == reference_compose_raw(outer, inner), (outer, inner)
+
+
 def split_table(rng, table):
     """The table with entries cut, at random, into sibling halves."""
     out = []
@@ -812,6 +835,48 @@ def test_merge_sorted_matches_the_ten_condition_reference(seed):
         )
         assert _merge_sorted(pairs) == reference_merge_sorted(pairs), pairs
     assert merged > 300
+
+
+def reference_is_complete_code(words):
+    """`is_complete_code` as it was: `_nested_pair`, then the measures."""
+    ws = list(words)
+    if _nested_pair(ws):
+        return False
+    top = max((len(w) for w in ws), default=0)
+    return sum(1 << (top - len(w)) for w in ws) == 1 << top
+
+
+def code_word_lists(seed):
+    """Complete codes, in shuffled order, and the same with a word
+    repeated, a word nested under another, a word left out, a word
+    swapped for a copy of its sibling (a repeat whose measures still sum
+    to one), and random word lists."""
+    rng = rng_from_seed(seed)
+    yield []
+    yield ["0", "00", "01"]  # nested, with measures summing to one
+    for _ in range(300):
+        table = random_v_group(rng, rng.randint(1, 4)).table
+        code = [d for d, _ in split_table(rng, table)]
+        rng.shuffle(code)
+        yield code
+        yield code + [rng.choice(code)]
+        yield code + [rng.choice(code) + rng.choice(["0", "1", "01"])]
+        yield code[1:]
+        deepest = max(code, key=len)
+        if deepest:
+            sibling = deepest[:-1] + "10"[int(deepest[-1])]
+            yield [sibling if w == deepest else w for w in code]
+        yield [rng.choice(WORDS) for _ in range(rng.randint(0, 8))]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_is_complete_code_matches_the_nested_pair_reference(seed):
+    verdicts = collections.Counter()
+    for words in code_word_lists(seed):
+        want = reference_is_complete_code(words)
+        assert is_complete_code(iter(words)) == want, words
+        verdicts[want] += 1
+    assert verdicts[True] > 250 and verdicts[False] > 1000, verdicts
 
 
 def fresh_group_key(g):
