@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from dataclasses import dataclass, field
+from operator import methodcaller
 
 
 class InputError(Exception):
@@ -139,14 +140,29 @@ def _vertex_unchecked(elements):
     a cube (see `ExpansionSystem`).  A frozenset given is kept as the
     vertex's member set.
     """
-    v = Vertex(tuple(sorted(elements, key=_element_key)))
+    v = Vertex(_in_key_order(elements))
     if isinstance(elements, frozenset):
         object.__setattr__(v, "_set", elements)
     return v
 
 
-def _element_key(b):
-    return b.key()
+def _in_key_order(elements):
+    """The elements as a tuple sorted by `key()`, the order of a vertex."""
+    return tuple(sorted(elements, key=methodcaller("key")))
+
+
+def _reached(v, out, into):
+    """The element set v reaches by swapping the elements `out` for
+    `into`.  MoveNotApplicable unless v holds every element of `out`,
+    each listed once; when `out` lists the basins of several moves, that
+    is v holding each basin and no two of them overlapping.  Then no
+    move disturbs another, and the set is a vertex by construction (see
+    `ExpansionSystem`); nothing else is checked."""
+    members = v.as_set()
+    kept = members.difference(out)
+    if len(members) - len(kept) != len(out):
+        raise MoveNotApplicable("basin not contained in vertex")
+    return kept.union(into)
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,11 +189,6 @@ class Move:
         kids = frozenset(_expansion(target))
         return cls("contract", target, kids, frozenset((target,)))
 
-    def after(self, members):
-        """The element set left once the move replaces its basin in
-        `members`, a frozenset that holds the basin; nothing is checked."""
-        return members.difference(self.basin).union(self.gain)
-
     def sort_key(self):
         return (self.kind, self.target.key())
 
@@ -194,13 +205,10 @@ def apply_move(v, m):
     """Apply a move to a vertex, returning the neighboring vertex.
 
     The move applies iff `v` holds its basin.  The neighbour's elements
-    are then `m.after(v.as_set())`; `validate_vertex` checks them and
-    puts them in order, and the neighbour keeps that set as its own.
+    are then `_reached(v, m.basin, m.gain)`; `validate_vertex` checks
+    them and puts them in order, and the neighbour keeps that set.
     """
-    members = v.as_set()
-    if not members.issuperset(m.basin):
-        raise MoveNotApplicable("basin not contained in vertex")
-    after = m.after(members)
+    after = _reached(v, m.basin, m.gain)
     w = validate_vertex(after)
     object.__setattr__(w, "_set", after)
     return w
@@ -261,9 +269,9 @@ def ascend(v, pick):
     accepted = [(b.key(), b) for b in v if pick(b)]
     while accepted:
         _, target = accepted.pop(0)
-        m = Move.expand(target)
-        moves.append(m)
-        vertices.append(_vertex_unchecked(m.after(vertices[-1].as_set())))
+        moves.append(Move.expand(target))
+        up = _reached(vertices[-1], moves[-1].basin, moves[-1].gain)
+        vertices.append(_vertex_unchecked(up))
         for kid in target.children():
             if pick(kid):
                 insort(accepted, (kid.key(), kid))

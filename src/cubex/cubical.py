@@ -17,11 +17,13 @@ from dataclasses import dataclass
 
 from .core import (
     CapExceeded,
+    DuplicateElement,
     InputError,
     Move,
-    MoveNotApplicable,
     NotABijection,
     Vertex,
+    _in_key_order,
+    _reached,
     _vertex_unchecked,
     apply_move,
     ascend,
@@ -30,20 +32,31 @@ from .core import (
 
 @dataclass(frozen=True)
 class Cube:
-    """The cube determined by a base vertex and its active elements."""
+    """The cube determined by a base vertex and its active elements.
+
+    The constructor trusts its caller: the engine builds its cubes from
+    moves at a vertex, whose targets are distinct base elements with
+    children by construction, and passes them in key order.  `make` is
+    the checked builder, for cubes that enter from outside.
+    """
 
     base: Vertex
-    active: tuple  # sorted tuple of base elements, each with children
+    active: tuple  # base elements with children, in key order
 
     @classmethod
     def make(cls, base, active):
-        active = tuple(sorted(set(active), key=lambda b: b.key()))
-        for b in active:
+        """The cube, checked: DuplicateElement names the first repeated
+        pair of positions in `active`, as `validate_vertex` does, and an
+        element outside the base or with no children is an InputError."""
+        active = list(active)
+        for j, b in enumerate(active):
+            if active.index(b) != j:
+                raise DuplicateElement(active.index(b), j)
             if b not in base:
                 raise InputError("active element not in the base vertex")
             if b.children() is None:
                 raise InputError("active element admits no expansion")
-        return cls(base, active)
+        return cls(base, _in_key_order(active))
 
     @property
     def dim(self):
@@ -56,9 +69,7 @@ class Cube:
 def _corner(c, on):
     """The element set of c's corner with the active elements `on`
     expanded: the base without them, with their children."""
-    return c.base.as_set().difference(on).union(
-        kid for b in on for kid in b.children()
-    )
+    return _reached(c.base, on, [kid for b in on for kid in b.children()])
 
 
 def cube_vertices(c):
@@ -130,7 +141,7 @@ def cube_intersection(c1, c2):
         collapsed[i].remove(b)
         entered += ((i, kid) for kid in b.children())
     v = _vertex_unchecked(_corner(c1, set(c1.active) - collapsed[0]))
-    return Cube.make(v, collapsed[0] & collapsed[1])
+    return Cube(v, _in_key_order(collapsed[0] & collapsed[1]))
 
 
 @dataclass(frozen=True)
@@ -198,20 +209,9 @@ def _cliques(n, pairs, max_size):
     return extend([], range(n))
 
 
-def _reached(v, moves):
-    """The vertex v reaches by `moves`: v without their basins, plus what
-    they put in their place.  MoveNotApplicable unless v holds each basin
-    and the basins are pairwise disjoint; then no move disturbs another,
-    and the result is a vertex by construction, not checked again."""
-    members = v.as_set()
-    taken = set()
-    for m in moves:
-        if not members.issuperset(m.basin) or not taken.isdisjoint(m.basin):
-            raise MoveNotApplicable("basin not contained in vertex")
-        taken.update(m.basin)
-    return _vertex_unchecked(
-        members.difference(taken).union(*(m.gain for m in moves))
-    )
+def _neighbor(v, m):
+    """The vertex the move m reaches from v, unchecked: m is a move at v."""
+    return _vertex_unchecked(_reached(v, m.basin, m.gain))
 
 
 def _clique_cubes(v, moves, neighbors=()):
@@ -220,7 +220,11 @@ def _clique_cubes(v, moves, neighbors=()):
     contractions, and each distinct set of them is built into a base
     once; with none, the base is v itself.  `neighbors`, if given, are
     the vertices the moves reach from v, so those of the contractions
-    are the bases of their one-move cliques."""
+    are the bases of their one-move cliques.  A clique's moves must be
+    moves at v with pairwise disjoint basins, as the link's cliques are.
+    Only the contractions' basins are checked here (MoveNotApplicable if
+    v lacks one or two overlap), so a caller with other cliques checks
+    every basin first, as `cube_from_moves` does."""
     bases = {(): v}
     for i, w in enumerate(neighbors):
         if moves[i].kind == "contract":
@@ -229,8 +233,11 @@ def _clique_cubes(v, moves, neighbors=()):
     def cube(clique):
         down = tuple(i for i in clique if moves[i].kind == "contract")
         if down not in bases:
-            bases[down] = _reached(v, [moves[i] for i in down])
-        return Cube.make(bases[down], [moves[i].target for i in clique])
+            out = [b for i in down for b in moves[i].basin]
+            into = [moves[i].target for i in down]
+            bases[down] = _vertex_unchecked(_reached(v, out, into))
+        active = _in_key_order(moves[i].target for i in clique)
+        return Cube(bases[down], active)
 
     return cube
 
@@ -285,12 +292,14 @@ class CubeComplex:
         return sorted(self.system.moves(v, glued), key=Move.sort_key)
 
     def neighbors(self, v):
-        return [(m, _reached(v, (m,))) for m in self.moves_at(v)]
+        return [(m, _neighbor(v, m)) for m in self.moves_at(v)]
 
     # -- cubes --------------------------------------------------------------
 
     def cube_from_moves(self, v, moves):
-        """The cube spanned at v by moves with pairwise disjoint basins."""
+        """The cube spanned at v by moves with pairwise disjoint basins;
+        MoveNotApplicable unless v holds each basin and none overlap."""
+        _reached(v, [b for m in moves for b in m.basin], ())
         return _clique_cubes(v, moves)(range(len(moves)))
 
     def cubes_at(self, v, max_dim):
@@ -310,7 +319,7 @@ class CubeComplex:
     def link_graph(self, v):
         moves = self.moves_at(v)
         edges = _disjoint_pairs(moves)
-        neighbors = tuple(_reached(v, (m,)) for m in moves)
+        neighbors = tuple(_neighbor(v, m) for m in moves)
         if len(set(neighbors)) != len(neighbors):
             raise RuntimeError("distinct moves reached the same neighbor")
         return LinkGraph(v, tuple(moves), edges, neighbors)
@@ -390,10 +399,10 @@ class CubeComplex:
         return: nothing is kept between calls.
 
         Vertices are indexed by the element sets they keep.  A move's
-        neighbour is looked up by `Move.after` before anything is built,
-        so each vertex of the ball is built once, by `apply_move` and
-        `validate_vertex`, when it is first reached; an edge back to a
-        known vertex builds nothing.
+        neighbour is looked up by its set (`core._reached`) before
+        anything is built, so each vertex of the ball is built once, by
+        `apply_move` and `validate_vertex`, when it is first reached; an
+        edge back to a known vertex builds nothing.
         """
         glued = {}
         index = {start.as_set(): 0}
@@ -404,11 +413,9 @@ class CubeComplex:
             frontier.sort(key=Vertex.key)
             next_frontier = []
             for v in frontier:
-                members = v.as_set()
-                a = index[members]
+                a = index[v.as_set()]
                 for m in self.moves_at(v, glued):
-                    after = m.after(members)
-                    b = index.get(after)
+                    b = index.get(_reached(v, m.basin, m.gain))
                     if b is None:
                         if len(order) >= cap:
                             raise CapExceeded(

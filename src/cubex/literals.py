@@ -17,7 +17,7 @@ InputError.
 
 from __future__ import annotations
 
-from .core import InputError, validate_vertex
+from .core import InputError, _in_key_order, validate_vertex
 from .cubical import Cube
 from .houghton import HoughtonSystem
 from .thompson import VSystem
@@ -88,9 +88,9 @@ def parse_cube_obj(obj):
 def move_to_obj(system, m):
     obj = {"kind": m.kind, "target": system.element_to_obj(m.target)}
     if m.kind == "contract":
-        obj["basin"] = [system.element_to_obj(b) for b in sorted(
-            m.basin, key=lambda b: b.key()
-        )]
+        obj["basin"] = [
+            system.element_to_obj(b) for b in _in_key_order(m.basin)
+        ]
     return obj
 
 

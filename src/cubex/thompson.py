@@ -28,6 +28,7 @@ from .core import (
     NotABijection,
     OverlappingSupports,
     Vertex,
+    _in_key_order,
     ascend,
     cached_field,
     validate_vertex,
@@ -349,7 +350,7 @@ class VSystem(ExpansionSystem):
     name = "v"
 
     def coexpansions(self, elements):
-        els = sorted(elements, key=lambda b: b.key())
+        els = _in_key_order(elements)
         if len(els) != 2:
             return []
         b1, b2 = els

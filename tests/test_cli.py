@@ -287,6 +287,18 @@ def test_partial_vertex_is_rejected(tmp_path, capsys, argv):
     assert "does not cover" in err
 
 
+@pytest.mark.parametrize("field", ["base", "active"])
+def test_intersect_rejects_a_repeated_cube_element(tmp_path, capsys, field):
+    # The first element listed twice: in either list it is the same
+    # error, naming the two positions.
+    obj = json.loads((GOLDEN_INPUTS / "v_cube1.json").read_text())
+    obj[field] = obj[field][:1] + obj[field]
+    cube = write(tmp_path, "twice.json", obj)
+    code, out, err = run(capsys, "intersect", cube, cube)
+    assert_input_error(code, out, err)
+    assert "elements 0 and 1 are equal" in err
+
+
 def ray(branch, tail):
     return {"branch": branch, "exceptions": [], "tail": tail}
 

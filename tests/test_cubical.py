@@ -14,6 +14,7 @@ from cubex import (
     CapExceeded,
     Cube,
     CubeComplex,
+    DuplicateElement,
     HGroupElement,
     HoughtonSystem,
     InputError,
@@ -153,6 +154,12 @@ def test_cube_make_rejects_bad_active():
         Cube.make(fig_vertex(), [ball("1")])
 
 
+def test_cube_make_names_a_repeated_active_element():
+    with pytest.raises(DuplicateElement) as err:
+        Cube.make(fig_vertex(), [ball("0"), ball("10"), ball("0")])
+    assert err.value.indices == (0, 2)
+
+
 # -- intersections -----------------------------------------------------------------
 
 
@@ -261,6 +268,8 @@ def test_intersection_walk_matches_enumeration(system, seed):
             got = cube_intersection(c1, c2)
             want = brute_cube_intersection(c1, c2)
             assert (set() if got is None else set(cube_vertices(got))) == want
+            # The meet is built unchecked; the checked builder agrees.
+            assert got is None or got == Cube.make(got.base, got.active)
             for a, b in ((c1, c2), (c2, c1)):
                 rep = intersection_lemma_check(a, b)
                 want = enumerating_lemma_check(a, b)
@@ -671,7 +680,38 @@ def test_check_flag_counts_an_unbuildable_clique_as_a_failure(monkeypatch):
         for k in range(3):
             yield from itertools.combinations(range(n), k)
 
+    # Where each failure is caught: two contractions whose basins
+    # overlap when their base is built, an expansion whose target lies in
+    # a contraction's basin only later, by the corner check of
+    # `vertex_in_cube` (`_clique_cubes` checks contraction basins alone).
+    caught = {}
+    clique_of = {}
+    real_clique_cubes, real_corner = cubical._clique_cubes, cubical._corner
+
+    def clique_cubes(v, moves, neighbors=()):
+        cube_of = real_clique_cubes(v, moves, neighbors)
+
+        def built(clique):
+            try:
+                cube = cube_of(clique)
+            except InputError:
+                caught[clique] = "base"
+                raise
+            clique_of[cube] = clique
+            return cube
+
+        return built
+
+    def corner(c, on):
+        try:
+            return real_corner(c, on)
+        except InputError:
+            caught[clique_of[c]] = "corner"
+            raise
+
     monkeypatch.setattr(cubical, "_cliques", every_pair)
+    monkeypatch.setattr(cubical, "_clique_cubes", clique_cubes)
+    monkeypatch.setattr(cubical, "_corner", corner)
     quarters = validate_vertex([ball(w) for w in ("00", "01", "10", "11")])
     lg = cx.link_graph(quarters)
     rep = cx.check_flag(quarters, 2)
@@ -682,6 +722,13 @@ def test_check_flag_counts_an_unbuildable_clique_as_a_failure(monkeypatch):
     )
     assert any(a.kind == b.kind == "contract" for a, b in rep.failures)
     assert not rep.square_mismatches
+    assert {tuple(lg.nodes[i] for i in k) for k in caught} == set(
+        rep.failures
+    )
+    for clique, where in caught.items():
+        kinds = {lg.nodes[i].kind for i in clique}
+        assert where == ("base" if kinds == {"contract"} else "corner")
+    assert "corner" in caught.values()
 
 
 def count_checked_builds(monkeypatch, system):
@@ -732,16 +779,29 @@ def test_cube_layer_makes_no_checked_builds(system, monkeypatch):
 
 def flag_reports_and_builds(monkeypatch, vertices, share):
     """`check_flag` on each (complex, vertex), with the link's neighbours
-    passed to `_clique_cubes` or held back, and the `_reached` calls."""
+    passed to `_clique_cubes` or held back, and the builds of cube bases:
+    the `_reached` calls made while a clique's cube is built, each
+    recorded by the number of contractions it undoes."""
     real_reached, real_cubes = cubical._reached, cubical._clique_cubes
     builds = []
+    inside = []
 
-    def reached(v, moves):
-        builds.append(len(moves))
-        return real_reached(v, moves)
+    def reached(v, out, into):
+        if inside:
+            builds.append(len(into))
+        return real_reached(v, out, into)
 
     def cubes(v, moves, neighbors=()):
-        return real_cubes(v, moves, neighbors if share else ())
+        cube_of = real_cubes(v, moves, neighbors if share else ())
+
+        def cube(clique):
+            inside.append(clique)
+            try:
+                return cube_of(clique)
+            finally:
+                inside.pop()
+
+        return cube
 
     with monkeypatch.context() as patch:
         patch.setattr(cubical, "_reached", reached)
@@ -768,6 +828,7 @@ def test_check_flag_builds_each_neighbour_once(monkeypatch):
     )
     assert len(more) - len(fewer) == contractions == 1000
     assert fewer.count(2) == more.count(2)
+    assert more.count(1) == contractions and 1 not in fewer
 
 
 # -- exploration -----------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from cubex import (
     validate_vertex,
 )
 from cubex import thompson
+from cubex.core import _reached
 from cubex.cubical import _admissible, vertex_on_set
 from cubex.houghton import CrossBranchTail, HPiece, SparseRegion
 from cubex.oracle import (
@@ -383,7 +384,7 @@ def test_move_sets_match_their_definition(system, seed):
                 assert (m.basin, m.gain) == (one, kids), (v, m)
             else:
                 assert (m.basin, m.gain) == (kids, one), (v, m)
-            assert m.after(v.as_set()) == apply_move(v, m).as_set()
+            assert _reached(v, m.basin, m.gain) == apply_move(v, m).as_set()
             kinds[m.kind] += 1
     assert min(kinds.values()) > 10, kinds
 
