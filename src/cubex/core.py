@@ -189,9 +189,6 @@ class Move:
         kids = frozenset(_expansion(target))
         return cls("contract", target, kids, frozenset((target,)))
 
-    def sort_key(self):
-        return (self.kind, self.target.key())
-
 
 def _expansion(b):
     """The children of b; MoveNotApplicable if it has none."""

@@ -19,7 +19,6 @@ from .core import (
     CapExceeded,
     DuplicateElement,
     InputError,
-    Move,
     NotABijection,
     Vertex,
     _in_key_order,
@@ -209,6 +208,10 @@ def _cliques(n, pairs, max_size):
     return extend([], range(n))
 
 
+def _target_key(m):
+    return m.target.key()
+
+
 def _neighbor(v, m):
     """The vertex the move m reaches from v, unchecked: m is a move at v."""
     return _vertex_unchecked(_reached(v, m.basin, m.gain))
@@ -287,9 +290,16 @@ class CubeComplex:
     def moves_at(self, v, glued=None):
         """All moves applicable at a full-support vertex; always finite.
 
-        `glued` is passed on to `ExpansionSystem.moves`.
+        `glued` is passed on to `ExpansionSystem.moves`.  The moves come
+        sorted by kind, then by target key: the contractions first, by
+        target key, then the expansions in the order `moves` yields them,
+        which is vertex (key) order.
         """
-        return sorted(self.system.moves(v, glued), key=Move.sort_key)
+        expansions, contractions = [], []
+        for m in self.system.moves(v, glued):
+            (contractions if m.kind == "contract" else expansions).append(m)
+        contractions.sort(key=_target_key)
+        return contractions + expansions
 
     def neighbors(self, v):
         return [(m, _neighbor(v, m)) for m in self.moves_at(v)]

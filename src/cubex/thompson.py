@@ -28,7 +28,6 @@ from .core import (
     NotABijection,
     OverlappingSupports,
     Vertex,
-    _in_key_order,
     ascend,
     cached_field,
     validate_vertex,
@@ -112,9 +111,11 @@ class BallRegion:
         """True iff the regions are pairwise disjoint, in one sorted sweep.
 
         Each region's own words are an antichain, so a nested pair always
-        spans two regions.
+        spans two regions.  The sweep is `_nested_pair`'s adjacent test,
+        run as `is_complete_code` runs it.
         """
-        return _nested_pair(w for r in regions for w in r.words) is None
+        ws = sorted([w for r in regions for w in r.words])
+        return not any(map(str.startswith, ws[1:], ws))
 
 
 # -- tables ---------------------------------------------------------------
@@ -209,10 +210,15 @@ class VElement:
         return self._hash
 
     def support(self):
+        """The image words as a region.  A single word is already
+        reduced, so a one-entry table needs no `make`."""
         if self._support is None:
-            object.__setattr__(
-                self, "_support", BallRegion.make([g for _, g in self.table])
-            )
+            t = self.table
+            if len(t) == 1:
+                support = BallRegion((t[0][1],))
+            else:
+                support = BallRegion.make([g for _, g in t])
+            object.__setattr__(self, "_support", support)
         return self._support
 
     def children(self):
@@ -292,21 +298,37 @@ def parse_table(obj):
 
 def glue(b1, b2):
     """The element whose basin is (b1, b2), with b1 under the left half."""
-    if not BallRegion.all_disjoint((b1.support(), b2.support())):
+    s1, s2 = b1.support(), b2.support()
+    if not BallRegion.all_disjoint((s1, s2)):
         raise OverlappingSupports(0, 1)
-    return _glued(b1, b2)
+    return _glued(b1, b2, BallRegion.make(s1.words + s2.words))
 
 
-def _glued(b1, b2):
+def _glued(b1, b2, support):
     """`glue` without the disjointness check, for callers that made it.
 
-    The halves of the result are b1 and b2, so they fill its children
-    cache.
+    `support` is the union of the halves' supports, the support of the
+    result; it and the halves, b1 and b2, fill its caches.
+
+    The table needs no `_merge_sorted`.  Two entries of one half, once
+    prefixed, are a mergeable sibling pair iff they were one in that
+    half's own table, which is reduced; so no merge happens inside a
+    half, and none can cascade from one.  Domain words '0'+d and '1'+d'
+    are siblings only when d = d' = '', that is when both halves are
+    one-entry tables ('', w0) and ('', w1).  They merge iff w0 = w+'0'
+    and w1 = w+'1', into the single entry ('', w).  Otherwise the table
+    is the two prefixed halves joined, in domain order.
     """
-    entries = tuple(("0" + d, g) for d, g in b1.table) + tuple(
-        ("1" + d, g) for d, g in b2.table
-    )
-    glued = VElement(_merge_sorted(entries))
+    t1, t2 = b1.table, b2.table
+    w = t1[0][1][:-1]
+    if len(t1) == len(t2) == 1 and (t1[0][1], t2[0][1]) == (w + "0", w + "1"):
+        table = (("", w),)
+    else:
+        table = tuple(("0" + d, g) for d, g in t1) + tuple(
+            ("1" + d, g) for d, g in t2
+        )
+    glued = VElement(table)
+    object.__setattr__(glued, "_support", support)
     object.__setattr__(glued, "_children", (b1, b2))
     return glued
 
@@ -350,13 +372,20 @@ class VSystem(ExpansionSystem):
     name = "v"
 
     def coexpansions(self, elements):
-        els = _in_key_order(elements)
+        """The two gluings of a disjoint pair, the key-smaller element
+        under the left half first.  Both share one support, the union of
+        the pair's."""
+        els = tuple(elements)
         if len(els) != 2:
             return []
         b1, b2 = els
-        if not BallRegion.all_disjoint((b1.support(), b2.support())):
+        if b2.key() < b1.key():
+            b1, b2 = b2, b1
+        s1, s2 = b1.support(), b2.support()
+        if not BallRegion.all_disjoint((s1, s2)):
             return []
-        return [_glued(b1, b2), _glued(b2, b1)]
+        support = BallRegion.make(s1.words + s2.words)
+        return [_glued(b1, b2, support), _glued(b2, b1, support)]
 
     def covers_space(self, regions):
         return _normalize_words(w for r in regions for w in r.words) == ("",)

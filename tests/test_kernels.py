@@ -18,8 +18,11 @@ Cube corners, halves, peeled rays and coexpansions are built without a
 check, since construction already makes them valid and canonical.  Each
 is compared, on seeded walks, with what the checked builder
 (`validate_vertex`, `HRayClass.make`) returns on the same data; so are
-moves, which build through `validate_vertex` from an element set, and
-the basin a coexpansion keeps as its children.  The two sets a move
+moves, which build through `validate_vertex` from an element set, the
+basin a coexpansion keeps as its children and the support it keeps, and
+a glued `v` table, built without a merge pass, with `_merge_sorted` of
+its prefixed halves.  `moves_at`, which sorts only the contractions, is
+compared with the sort by kind, then target key.  The two sets a move
 keeps are compared with their definition, and the one set equation of
 `vertex_on_set` with the brute corner list of `cubex.oracle`.
 
@@ -39,6 +42,7 @@ import itertools
 import pytest
 
 from cubex import (
+    CubeComplex,
     DuplicateElement,
     HGroupElement,
     HoughtonSystem,
@@ -470,20 +474,75 @@ def test_ray_children_and_coexpansions_match_make(n, seed):
 @SYSTEMS
 @pytest.mark.parametrize("seed", SEEDS)
 def test_coexpansion_children_match_fresh_values(system, seed):
-    # A coexpansion starts with its basin in the children cache.
+    # A coexpansion starts with its basin in the children cache and its
+    # support in the support cache.  On `v` the two coexpansions of a
+    # basin share one support object, and each table is glued without
+    # `_merge_sorted`, which the reference below runs on the prefixed
+    # halves: both the case where the halves merge and the case where
+    # they do not are hit.
     rng = rng_from_seed(seed)
     low = system.base_vertex().height
     glued = 0
+    merges = {True: 0, False: 0}
+    one_entry = 0
     for h in range(low, low + 6):
         v = random_vertex(system, rng, h)
+        by_basin = collections.defaultdict(list)
         for m in system.moves(v):
             if m.kind == "contract":
-                t = m.target
+                by_basin[m.basin].append(m.target)
+        for basin, targets in by_basin.items():
+            for t in targets:
                 fresh = type(t)(*compared(t))  # the same value, no caches
-                assert t.children() == fresh.children(), (v, m)
+                assert t.children() == fresh.children(), (v, t)
                 assert v.as_set().issuperset(t.children())
+                assert t.support() == fresh.support() == uncached_support(t)
                 glued += 1
+            if not isinstance(system, VSystem):
+                continue
+            assert len(targets) == 2, (v, basin)
+            assert targets[0].support() is targets[1].support(), (v, basin)
+            for t in targets:
+                left, right = t.children()
+                halves = tuple(("0" + d, g) for d, g in left.table) + tuple(
+                    ("1" + d, g) for d, g in right.table
+                )
+                assert t.table == _merge_sorted(halves), (v, t)
+                merges[len(t.table) < len(halves)] += 1
+        if isinstance(system, VSystem):
+            for b in v:
+                if len(b.table) == 1:
+                    fresh = VElement(b.table)
+                    assert fresh.support() == BallRegion.make([b.table[0][1]])
+                    one_entry += 1
     assert glued > 10
+    if isinstance(system, VSystem):
+        assert merges[True] >= 2 and merges[False] > 10, merges
+        assert one_entry > 5
+
+
+@SYSTEMS
+@pytest.mark.parametrize("seed", SEEDS)
+def test_moves_at_sorts_by_kind_then_target_key(system, seed):
+    # `moves_at` sorts only the contractions; `moves` yields the
+    # expansions in vertex order, and "contract" < "expand".  The order
+    # is the one the seeded generators rely on.
+    cx = CubeComplex(system)
+    rng = rng_from_seed(seed)
+    low = system.base_vertex().height
+    glued = {}
+    kinds = {"expand": 0, "contract": 0}
+    for h in range(low, low + 5):
+        v = random_vertex(system, rng, h)
+        for w in [v] + [apply_move(v, m) for m in system.moves(v)]:
+            want = sorted(
+                system.moves(w), key=lambda m: (m.kind, m.target.key())
+            )
+            assert cx.moves_at(w) == want, w
+            assert cx.moves_at(w, glued) == want, w
+            for m in want:
+                kinds[m.kind] += 1
+    assert glued and min(kinds.values()) > 50, kinds
 
 
 # -- the group layer: one tiling rule, trusted actions ----------------------
