@@ -292,16 +292,23 @@ class ExpansionSystem:
 
     The region type supplies a normalizing `make` and a static
     `all_disjoint(regions)`, the one kernel that decides whether a
-    family of supports overlaps.  Supports are never empty, which
-    `validate_vertex` relies on: a repeated element overlaps itself, so
-    the same sweep catches it.
+    family of supports overlaps (a system's glue may run the same
+    sweep and keep its sorted words, as `v`'s does).  Supports are
+    never empty, which `validate_vertex` relies on: a repeated element
+    overlaps itself, so the same sweep catches it.
 
     `moves(v)` yields every move applicable at v: first one expansion
-    per expandable element, in vertex order, then one contraction per
-    coexpansion of each subset from `contraction_candidates(v)`, in that
-    order.  The order is fixed because the seeded generators in `oracle`
-    shuffle and pick from this list, so the same seed gives the same
-    vertices and cubes only while it holds.
+    per expandable element, in vertex order (`expansions`), then one
+    contraction per coexpansion of each subset from
+    `contraction_candidates(v)`, in that order (`contractions`).  The
+    order is fixed because the seeded generators in `oracle` shuffle and
+    pick from this list, so the same seed gives the same vertices and
+    cubes only while it holds.  `expansions` and `contractions` each
+    take an optional memo, a dict that a traversal owns and passes to
+    every call, so each element's expansion move and each basin's
+    contraction moves are built once per traversal.  The memos live as
+    long as the traversal; nothing is kept on the system or on the
+    elements.
 
     `header()` holds the fields that name the instance in every vertex
     and cube literal: `instance`, plus `n` for `houghton`.  Two systems
@@ -375,24 +382,48 @@ class ExpansionSystem:
 
         Default: all 2-subsets, which is exhaustive for any system whose
         basins have size two.  Systems with larger basins override this.
+        A system may also skip subsets that have no coexpansion, as long
+        as it keeps the others in the default's order.
         """
         return itertools.combinations(v, 2)
 
     def moves(self, v, glued=None):
-        """Every move applicable at v, in the order the class doc fixes.
+        """Every move applicable at v, in the order the class doc fixes:
+        `expansions`, then `contractions`."""
+        return itertools.chain(self.expansions(v), self.contractions(v, glued))
+
+    def expansions(self, v, expanded=None):
+        """One expansion move per expandable element of v, in vertex order.
+
+        `expanded` maps each expandable element already asked about to its
+        expansion move.  A caller that walks many vertices passes one
+        dict, so an element held by several of them has its move built
+        once; with no dict, each call starts a fresh one.  The move is
+        kept in the caller's dict, never on the element: a move holds
+        its target, so a cache on the element would be a reference cycle.
+        """
+        if expanded is None:
+            expanded = {}
+        for b in v:
+            m = expanded.get(b)
+            if m is None:
+                if b.children() is None:
+                    continue
+                m = expanded[b] = Move.expand(b)
+            yield m
+
+    def contractions(self, v, glued=None):
+        """One contraction move per coexpansion of each subset from
+        `contraction_candidates(v)`, in that order.
 
         `glued` maps each candidate basin already asked about to its
-        contraction moves, one per coexpansion.  A caller that walks many
-        vertices passes one dict, so a basin shared by several of them is
-        glued, and its moves built, once; with no dict, each call starts
-        a fresh one.  Reuse is safe because `coexpansions` is pure and
-        moves are immutable.
+        contraction moves, one per coexpansion, and is shared as
+        `expanded` is in `expansions`: a basin shared by several vertices
+        is glued, and its moves built, once.  Reuse is safe because
+        `coexpansions` is pure and moves are immutable.
         """
         if glued is None:
             glued = {}
-        for b in v:
-            if b.children() is not None:
-                yield Move.expand(b)
         for subset in self.contraction_candidates(v):
             basin = frozenset(subset)
             contractions = glued.get(basin)

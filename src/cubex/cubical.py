@@ -287,19 +287,18 @@ class CubeComplex:
 
     # -- moves and neighbors ----------------------------------------------
 
-    def moves_at(self, v, glued=None):
+    def moves_at(self, v, glued=None, expanded=None):
         """All moves applicable at a full-support vertex; always finite.
 
-        `glued` is passed on to `ExpansionSystem.moves`.  The moves come
-        sorted by kind, then by target key: the contractions first, by
-        target key, then the expansions in the order `moves` yields them,
-        which is vertex (key) order.
+        `glued` and `expanded` are passed on to the system's
+        `contractions` and `expansions` (see `ExpansionSystem`).  The
+        moves come sorted by kind, then by target key: the contractions
+        first, by target key, then the expansions in the order
+        `expansions` yields them, which is vertex (key) order.
         """
-        expansions, contractions = [], []
-        for m in self.system.moves(v, glued):
-            (contractions if m.kind == "contract" else expansions).append(m)
-        contractions.sort(key=_target_key)
-        return contractions + expansions
+        moves = sorted(self.system.contractions(v, glued), key=_target_key)
+        moves.extend(self.system.expansions(v, expanded))
+        return moves
 
     def neighbors(self, v):
         return [(m, _neighbor(v, m)) for m in self.moves_at(v)]
@@ -401,12 +400,14 @@ class CubeComplex:
         canonical vertex order.  Raises CapExceeded (carrying the partial
         graph) if more than `cap` vertices would be collected.
 
-        One `glued` dict (see `ExpansionSystem.moves`) serves the whole
-        traversal, so each candidate basin is glued, and its contraction
+        Two dicts (see `ExpansionSystem`) serve the whole traversal:
+        `glued`, so each candidate basin is glued, and its contraction
         moves built, once per call rather than once per frontier vertex
-        that holds it.  It has at most one entry per candidate of a
-        frontier vertex, so `cap` bounds it too, and it is dropped on
-        return: nothing is kept between calls.
+        that holds it, and `expanded`, so each element's expansion move
+        is built once.  Each has at most one entry per candidate or
+        element of a frontier vertex, so `cap` bounds them too, and both
+        are dropped on return: nothing is kept between calls, and no
+        element is left holding a move.
 
         Vertices are indexed by the element sets they keep.  A move's
         neighbour is looked up by its set (`core._reached`) before
@@ -414,18 +415,20 @@ class CubeComplex:
         `apply_move` and `validate_vertex`, when it is first reached; an
         edge back to a known vertex builds nothing.
         """
-        glued = {}
+        glued, expanded = {}, {}
         index = {start.as_set(): 0}
         order = [start]
         edges = set()
+        # Bound once: the loop below runs once per move of the ball.
+        moves_at, lookup, add_edge = self.moves_at, index.get, edges.add
         frontier = [start]
         for _ in range(radius):
             frontier.sort(key=Vertex.key)
             next_frontier = []
             for v in frontier:
                 a = index[v.as_set()]
-                for m in self.moves_at(v, glued):
-                    b = index.get(_reached(v, m.basin, m.gain))
+                for m in moves_at(v, glued, expanded):
+                    b = lookup(_reached(v, m.basin, m.gain))
                     if b is None:
                         if len(order) >= cap:
                             raise CapExceeded(
@@ -436,7 +439,7 @@ class CubeComplex:
                         b = index[w.as_set()] = len(order)
                         order.append(w)
                         next_frontier.append(w)
-                    edges.add((min(a, b), max(a, b)))
+                    add_edge((a, b) if a < b else (b, a))
             frontier = next_frontier
         return self._graph(order, edges, radius)
 

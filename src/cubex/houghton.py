@@ -17,6 +17,7 @@ a ray peels off its first point.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -100,6 +101,17 @@ class SparseRegion:
             if i in starts and m >= starts[i]:
                 return False
         return True
+
+
+def _with_point(region, x):
+    """The union of a normalized region and a point x outside it.  It is
+    normal as it stands unless x lies just below a tail, which then
+    drops over x and over any run of points just below x."""
+    points = region.points | {x}
+    i, m = x
+    if (i, m + 1) in region.tails:
+        return SparseRegion.make(points, region.tails)
+    return SparseRegion(points, region.tails)
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,17 +208,20 @@ class HRayClass:
         return self._hash
 
     def support(self):
-        # make(), not the raw constructor: an exceptional image sitting
-        # just below the tail (legal unless it is the last exception)
-        # must be absorbed into the tail in the region descriptor.
+        """The union of the children's supports, when the children and
+        the peeled ray's support are at hand, as they are for a glued
+        ray; else `make` of the ray's data, not the raw constructor: an
+        exceptional image just below the tail (legal unless it is the
+        last exception) must be absorbed into the tail."""
         if self._support is None:
-            object.__setattr__(
-                self,
-                "_support",
-                SparseRegion.make(
+            kids = self._children
+            if kids is not None and kids[1]._support is not None:
+                support = _with_point(kids[1]._support, kids[0].image)
+            else:
+                support = SparseRegion.make(
                     self.exceptions, ((self.branch, self.tail),)
-                ),
-            )
+                )
+            object.__setattr__(self, "_support", support)
         return self._support
 
     def children(self):
@@ -425,15 +440,24 @@ class HoughtonSystem(ExpansionSystem):
             raise InputError(f"branch out of range for n={self.n}")
         return b
 
+    def contraction_candidates(self, v):
+        """The point–ray pairs of `combinations(v, 2)`, in that order: a
+        basin is a point and a ray, so no other pair has a coexpansion."""
+        return (
+            pair
+            for pair in itertools.combinations(v, 2)
+            if type(pair[0]) is not type(pair[1])
+        )
+
     def coexpansions(self, elements):
-        els = list(elements)
+        els = tuple(elements)
         if len(els) != 2:
             return []
-        points = [b for b in els if isinstance(b, HPointClass)]
-        rays = [b for b in els if isinstance(b, HRayClass)]
-        if len(points) != 1 or len(rays) != 1:
+        p, r = els
+        if type(p) is HRayClass:
+            p, r = r, p
+        if type(p) is not HPointClass or type(r) is not HRayClass:
             return []
-        p, r = points[0], rays[0]
         if not SparseRegion.all_disjoint((p.support(), r.support())):
             return []
         # p lies outside r's support, so the data is valid as it stands,

@@ -136,8 +136,12 @@ def _target_key(m):
 def random_vertex(system, rng, height_bound):
     """A random full-support vertex of exactly `height_bound` elements,
     built by a random move sequence from the system's base vertex.  One
-    `glued` dict (see `ExpansionSystem.moves`) serves the whole walk, so
-    each basin on it is glued, and its contraction moves built, once."""
+    `glued` dict (see `ExpansionSystem.contractions`) serves the whole
+    walk, so each basin on it is glued, and its contraction moves built,
+    once.  Expansion moves are built afresh at each step: a shared
+    `expanded` dict finds an element's move under an equal element met
+    earlier, so the vertex returned would hold elements whose children
+    are not cached, and the caller's first query would build them."""
     glued = {}
     v = system.base_vertex()
     if height_bound < v.height:
@@ -157,12 +161,10 @@ def random_vertex(system, rng, height_bound):
             break
         v = apply_move(v, rng.choice(sorted(candidates, key=_target_key)))
     while v.height > height_bound:
-        contracts = [
-            m for m in system.moves(v, glued) if m.kind == "contract"
-        ]
+        contracts = list(system.contractions(v, glued))
         v = apply_move(v, rng.choice(sorted(contracts, key=_target_key)))
     while v.height < height_bound:
-        expands = [m for m in system.moves(v, glued) if m.kind == "expand"]
+        expands = list(system.expansions(v))
         v = apply_move(v, rng.choice(sorted(expands, key=_target_key)))
     return v
 

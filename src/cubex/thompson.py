@@ -61,12 +61,23 @@ def _nested_pair(words):
     )
 
 
-def is_complete_code(words):
-    """True iff the balls named by `words` partition the whole space.
-    No word may be nested in another (the adjacent test of
-    `_nested_pair`), and the balls' measures must sum to one."""
+def _sorted_antichain(words):
+    """The words sorted, or None if one is nested in another or
+    repeated: `_nested_pair`'s adjacent test, run in C.  It is the one
+    overlap sweep of `is_complete_code`, `BallRegion.all_disjoint` and
+    `_disjoint_union`."""
     ws = sorted(words)
     if any(map(str.startswith, ws[1:], ws)):
+        return None
+    return ws
+
+
+def is_complete_code(words):
+    """True iff the balls named by `words` partition the whole space.
+    No word may be nested in another (`_sorted_antichain`), and the
+    balls' measures must sum to one."""
+    ws = _sorted_antichain(words)
+    if ws is None:
         return False
     top = max(map(len, ws), default=0)
     return sum(1 << (top - len(w)) for w in ws) == 1 << top
@@ -111,11 +122,10 @@ class BallRegion:
         """True iff the regions are pairwise disjoint, in one sorted sweep.
 
         Each region's own words are an antichain, so a nested pair always
-        spans two regions.  The sweep is `_nested_pair`'s adjacent test,
-        run as `is_complete_code` runs it.
+        spans two regions.  The sweep is `_sorted_antichain`.
         """
-        ws = sorted([w for r in regions for w in r.words])
-        return not any(map(str.startswith, ws[1:], ws))
+        words = [w for r in regions for w in r.words]
+        return _sorted_antichain(words) is not None
 
 
 # -- tables ---------------------------------------------------------------
@@ -298,17 +308,29 @@ def parse_table(obj):
 
 def glue(b1, b2):
     """The element whose basin is (b1, b2), with b1 under the left half."""
-    s1, s2 = b1.support(), b2.support()
-    if not BallRegion.all_disjoint((s1, s2)):
+    support = _disjoint_union(b1.support(), b2.support())
+    if support is None:
         raise OverlappingSupports(0, 1)
-    return _glued(b1, b2, BallRegion.make(s1.words + s2.words))
+    return _glued(b1, b2, support)
+
+
+def _disjoint_union(s1, s2):
+    """The union of two regions, or None if they overlap.
+
+    One sorted word list serves both: the overlap sweep of
+    `BallRegion.all_disjoint` (`_sorted_antichain`), then
+    `BallRegion.make`, whose own sort finds the list already sorted and
+    so makes one linear pass.
+    """
+    ws = _sorted_antichain(s1.words + s2.words)
+    return None if ws is None else BallRegion.make(ws)
 
 
 def _glued(b1, b2, support):
     """`glue` without the disjointness check, for callers that made it.
 
     `support` is the union of the halves' supports, the support of the
-    result; it and the halves, b1 and b2, fill its caches.
+    result; it, the halves b1 and b2, and the key fill its caches.
 
     The table needs no `_merge_sorted`.  Two entries of one half, once
     prefixed, are a mergeable sibling pair iff they were one in that
@@ -318,18 +340,27 @@ def _glued(b1, b2, support):
     one-entry tables ('', w0) and ('', w1).  They merge iff w0 = w+'0'
     and w1 = w+'1', into the single entry ('', w).  Otherwise the table
     is the two prefixed halves joined, in domain order.
+
+    The key follows from the halves' keys in the same two cases: each
+    entry's text `d->g` becomes `0d->g` or `1d->g`, and entries are
+    separated by commas, which no word or arrow holds.
     """
     t1, t2 = b1.table, b2.table
     w = t1[0][1][:-1]
     if len(t1) == len(t2) == 1 and (t1[0][1], t2[0][1]) == (w + "0", w + "1"):
-        table = (("", w),)
+        table, key = (("", w),), "->" + w
     else:
-        table = tuple(("0" + d, g) for d, g in t1) + tuple(
-            ("1" + d, g) for d, g in t2
+        table = tuple(
+            [("0" + d, g) for d, g in t1] + [("1" + d, g) for d, g in t2]
+        )
+        key = (
+            "0" + b1.key().replace(",", ",0")
+            + ",1" + b2.key().replace(",", ",1")
         )
     glued = VElement(table)
     object.__setattr__(glued, "_support", support)
     object.__setattr__(glued, "_children", (b1, b2))
+    object.__setattr__(glued, "_key", key)
     return glued
 
 
@@ -381,10 +412,9 @@ class VSystem(ExpansionSystem):
         b1, b2 = els
         if b2.key() < b1.key():
             b1, b2 = b2, b1
-        s1, s2 = b1.support(), b2.support()
-        if not BallRegion.all_disjoint((s1, s2)):
+        support = _disjoint_union(b1.support(), b2.support())
+        if support is None:
             return []
-        support = BallRegion.make(s1.words + s2.words)
         return [_glued(b1, b2, support), _glued(b2, b1, support)]
 
     def covers_space(self, regions):

@@ -21,8 +21,12 @@ is compared, on seeded walks, with what the checked builder
 moves, which build through `validate_vertex` from an element set, the
 basin a coexpansion keeps as its children and the support it keeps, and
 a glued `v` table, built without a merge pass, with `_merge_sorted` of
-its prefixed halves.  `moves_at`, which sorts only the contractions, is
-compared with the sort by kind, then target key.  The two sets a move
+its prefixed halves.  The key a glued `v` element derives from its
+halves' keys is compared with the text of its table, the one-sort union
+of two supports with `all_disjoint` and `make`, and the support a glued
+`houghton` ray takes from its basin with `make` of its own data.
+`moves_at`, which sorts only the contractions, is compared with the sort
+by kind, then target key.  The two sets a move
 keeps are compared with their definition, and the one set equation of
 `vertex_on_set` with the brute corner list of `cubex.oracle`.
 
@@ -471,6 +475,41 @@ def test_ray_children_and_coexpansions_match_make(n, seed):
     assert peeled > 5 and glued > 50 and glued < len(points) * len(rays)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_glued_ray_support_is_the_union_of_its_basin(n, seed):
+    # A glued ray takes its support from p's and r's, which the
+    # disjointness test has just read, not from its own data.  Points
+    # just below r's tail, where the tail drops over p and, for the rays
+    # with an exception one below p, further, are glued on purpose.
+    system = HoughtonSystem(n)
+    pool = set(walk_elements(system, seed))
+    rays = [b for b in pool if isinstance(b, HRayClass)] + [
+        HRayClass.make(i, ((i, m),), m + 2)
+        for i in range(1, n + 1)
+        for m in (1, 2, 3)
+    ]
+    points = {b for b in pool if isinstance(b, HPointClass)}
+    for r in rays:
+        ((i, k),) = r.support().tails
+        if k > 1:
+            points.add(HPointClass((i, k - 1)))
+    dropped = {"none": 0, "one": 0, "more": 0}
+    for p in points:
+        for r in rays:
+            for t in system.coexpansions((p, r)):
+                assert t._support is None and r._support is not None
+                want = SparseRegion.make(t.exceptions, ((t.branch, t.tail),))
+                assert t.support() == want, (p, r)
+                ((_, before),) = r.support().tails
+                ((_, after),) = want.tails
+                dropped[
+                    "none" if after == before else
+                    "one" if after == before - 1 else "more"
+                ] += 1
+    assert min(dropped.values()) > 5, dropped
+
+
 @SYSTEMS
 @pytest.mark.parametrize("seed", SEEDS)
 def test_coexpansion_children_match_fresh_values(system, seed):
@@ -519,6 +558,54 @@ def test_coexpansion_children_match_fresh_values(system, seed):
     if isinstance(system, VSystem):
         assert merges[True] >= 2 and merges[False] > 10, merges
         assert one_entry > 5
+
+
+def v_pairs(seed):
+    """Pairs of elements of seeded `v` vertices and of their neighbours:
+    disjoint pairs from one vertex, overlapping pairs across two."""
+    system = VSystem()
+    rng = rng_from_seed(seed)
+    for h in range(1, 8):
+        v = random_vertex(system, rng, h)
+        yield from itertools.permutations(v, 2)
+        for m in system.moves(v):
+            w = apply_move(v, m)
+            yield from itertools.product(v, w)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_glued_keys_match_the_table_text(seed):
+    # `_glued` derives the key from the halves' keys; it must be the
+    # text of the table it built, in the merge case and out of it.
+    merges = {True: 0, False: 0}
+    for b1, b2 in v_pairs(seed):
+        if not BallRegion.all_disjoint((b1.support(), b2.support())):
+            continue
+        for t in [thompson.glue(b1, b2)] + VSystem().coexpansions((b1, b2)):
+            assert t._key == thompson._table_text(t.table), (b1, b2, t)
+            assert t.key() == VElement(t.table).key()
+            merges[len(t.table) == 1] += 1
+    assert merges[True] >= 10 and merges[False] > 300, merges
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_disjoint_union_matches_the_sweep_and_make(seed):
+    outcomes = {True: 0, False: 0}
+    for b1, b2 in v_pairs(seed):
+        s1, s2 = b1.support(), b2.support()
+        got = thompson._disjoint_union(s1, s2)
+        disjoint = BallRegion.all_disjoint((s1, s2))
+        # `all_disjoint` runs the same sweep, so the verdict is also
+        # checked against `_nested_pair`'s own adjacent test.
+        assert disjoint == (_nested_pair(s1.words + s2.words) is None)
+        if disjoint:
+            assert got == BallRegion.make(s1.words + s2.words), (s1, s2)
+        else:
+            assert got is None, (s1, s2)
+            with pytest.raises(OverlappingSupports):
+                thompson.glue(b1, b2)
+        outcomes[disjoint] += 1
+    assert min(outcomes.values()) > 300, outcomes
 
 
 @SYSTEMS

@@ -1,0 +1,213 @@
+"""Moves built once per traversal, checked against moves built afresh.
+
+`CubeComplex.bfs` passes two dicts through `moves_at` into the system's
+`expansions` and `contractions`, so each element's expansion move and
+each basin's contraction moves are built once per traversal, and
+`houghton` asks only about point–ray pairs.  Each fast path is compared,
+on seeded vertices (`v`, `houghton` n=2 and n=3, seeds 7 and 1009),
+with the path it replaces: candidates from the default
+`combinations(v, 2)`, a fresh `Move.expand` for every element, and a
+breadth-first loop over `moves_at` and `apply_move` with no dict at all.
+None of these may depend on hash order, and a traversal must leave no
+reference cycle behind, which would keep its moves alive until the
+cycle collector ran.
+"""
+
+import gc
+import itertools
+
+import pytest
+
+from cubex import (
+    CubeComplex,
+    HoughtonSystem,
+    Move,
+    Vertex,
+    VSystem,
+    apply_move,
+    core,
+)
+from cubex.core import ExpansionSystem
+from cubex.cubical import ExplorationGraph
+from cubex.oracle import random_vertex, rng_from_seed
+
+SEEDS = [7, 1009]
+# A fresh system per test, so a test may wrap its methods.
+SYSTEMS = {
+    "v": VSystem,
+    "houghton2": lambda: HoughtonSystem(2),
+    "houghton3": lambda: HoughtonSystem(3),
+}
+NAMES = pytest.mark.parametrize("name", sorted(SYSTEMS))
+
+
+def seeded_start(system, seed):
+    height = system.base_vertex().height + 2
+    return random_vertex(system, rng_from_seed(seed), height)
+
+
+def seeded_vertices(system, seed):
+    """Seeded vertices of six heights, each with its neighbours."""
+    rng = rng_from_seed(seed)
+    low = system.base_vertex().height
+    for h in range(low, low + 6):
+        v = random_vertex(system, rng, h)
+        yield v
+        yield from (apply_move(v, m) for m in system.moves(v))
+
+
+def same_moves(got, want):
+    """Equal move lists, also in the sets each move swaps, which take no
+    part in `Move` equality."""
+    assert got == want
+    assert [(m.basin, m.gain) for m in got] == [
+        (m.basin, m.gain) for m in want
+    ]
+
+
+def reference_moves(system, v):
+    """`moves(v)` from every 2-subset, as `ExpansionSystem` asks by
+    default, with every move built afresh."""
+    moves = [Move.expand(b) for b in v if b.children() is not None]
+    for subset in ExpansionSystem.contraction_candidates(system, v):
+        basin = frozenset(subset)
+        moves += [
+            Move("contract", t, basin, frozenset((t,)))
+            for t in system.coexpansions(basin)
+        ]
+    return moves
+
+
+@NAMES
+@pytest.mark.parametrize("seed", SEEDS)
+def test_moves_equal_the_moves_of_every_pair(name, seed):
+    # `houghton` asks only about point–ray pairs; every pair it skips has
+    # no coexpansion, and the moves keep the default's order.
+    system = SYSTEMS[name]()
+    skipped = kept = 0
+    for v in seeded_vertices(system, seed):
+        same_moves(list(system.moves(v)), reference_moves(system, v))
+        asked = list(system.contraction_candidates(v))
+        every = list(itertools.combinations(v, 2))
+        assert asked == [pair for pair in every if pair in asked]
+        for pair in every:
+            if pair not in asked:
+                assert system.coexpansions(frozenset(pair)) == []
+                skipped += 1
+        kept += len(asked)
+    assert kept > 100
+    if name == "v":
+        assert skipped == 0
+    else:
+        assert skipped > 100, skipped
+
+
+@NAMES
+@pytest.mark.parametrize("seed", SEEDS)
+def test_memoised_expansions_equal_fresh_moves(name, seed):
+    system = SYSTEMS[name]()
+    expanded, glued = {}, {}
+    asked = 0
+    for v in seeded_vertices(system, seed):
+        moves = list(system.expansions(v, expanded))
+        fresh = [Move.expand(b) for b in v if b.children() is not None]
+        same_moves(moves, fresh)
+        assert all(m.target in v for m in moves)
+        # A second call hands back the same objects.
+        again = list(system.expansions(v, expanded))
+        assert all(a is b for a, b in zip(again, moves))
+        asked += len(moves)
+        same_moves(
+            CubeComplex(system).moves_at(v, glued, expanded),
+            CubeComplex(system).moves_at(v),
+        )
+    # The dict holds expansion moves only, and it was hit, not just
+    # filled.
+    assert all(
+        m.kind == "expand" and m.target == b for b, m in expanded.items()
+    )
+    assert len(expanded) < asked / 2, (len(expanded), asked)
+
+
+@NAMES
+def test_bfs_builds_each_expansion_move_once(name, monkeypatch):
+    system = SYSTEMS[name]()
+    start = seeded_start(system, 7)
+    built = []
+    expand = Move.expand.__func__
+
+    def counting(cls, b):
+        built.append(b)
+        return expand(cls, b)
+
+    monkeypatch.setattr(core.Move, "expand", classmethod(counting))
+    graph = CubeComplex(system).bfs(start, 3)
+    monkeypatch.undo()
+    # The elements a radius-3 traversal expands: those of every vertex
+    # closer than 3, the vertices it takes moves from.
+    near = reference_bfs(CubeComplex(system), start, 2).vertices
+    want = {b for v in near for b in v if b.children() is not None}
+    assert len(built) == len(set(built)) == len(want)
+    assert set(built) == want
+    assert len(graph.vertices) > len(near)
+
+
+def reference_bfs(cx, start, radius):
+    """`CubeComplex.bfs` as a plain loop: every move from `moves_at`
+    with no dict, every neighbour built by `apply_move`."""
+    index = {start: 0}
+    order = [start]
+    edges = set()
+    frontier = [start]
+    for _ in range(radius):
+        grown = []
+        for v in sorted(frontier, key=Vertex.key):
+            for m in cx.moves_at(v):
+                w = apply_move(v, m)
+                if w not in index:
+                    index[w] = len(order)
+                    order.append(w)
+                    grown.append(w)
+                edges.add(tuple(sorted((index[v], index[w]))))
+        frontier = grown
+    return ExplorationGraph(
+        tuple(order),
+        tuple(v.height for v in order),
+        tuple(sorted(edges)),
+        radius,
+    )
+
+
+@NAMES
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("radius", [2, 3])
+def test_bfs_matches_the_loop_without_memos(name, seed, radius):
+    system = SYSTEMS[name]()
+    cx = CubeComplex(system)
+    start = seeded_start(system, seed)
+    graph = cx.bfs(start, radius)
+    want = reference_bfs(cx, start, radius)
+    assert graph == want
+    keys = [v.key() for v in graph.vertices]
+    assert keys == [v.key() for v in want.vertices]
+    assert len(graph.vertices) > 20
+
+
+@NAMES
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bfs_leaves_no_reference_cycle(name, seed):
+    # With the collector off, everything a traversal built must go as
+    # soon as its graph is dropped; a move cached on its own target
+    # would leave cycles for `gc.collect()` to find.
+    system = SYSTEMS[name]()
+    cx = CubeComplex(system)
+    start = seeded_start(system, seed)
+    gc.collect()
+    gc.disable()
+    try:
+        graph = cx.bfs(start, 2)
+        assert len(graph.vertices) > 10
+        del graph
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
