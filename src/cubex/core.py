@@ -14,6 +14,15 @@ any way that can be observed.  Some values fill caches (a support, the
 children, a key, a hash) on first use; a cache never takes part in
 equality, hashing, `repr` or any serialized output, so values can be
 shared freely across workers.
+
+Immutability is a contract the library keeps, not one Python enforces:
+the value classes are plain dataclasses, not frozen ones, since a
+frozen `__init__` pays one `object.__setattr__` per field and each step
+of an exploration builds many values.  Assigning to a field therefore
+no longer raises `FrozenInstanceError`; the library assigns only to
+cache slots, and `tests/test_immutability.py` checks that.  Hashes are
+those frozen dataclasses derived: a class with no `__hash__` of its own
+takes `unsafe_hash=True`, the hash of its compared fields.
 """
 
 from __future__ import annotations
@@ -63,13 +72,14 @@ class CapExceeded(Exception):
 def cached_field():
     """A dataclass slot for a lazily filled cache.
 
-    It is left out of `__init__`, equality and `repr`; its value is set
-    with `object.__setattr__` on first use.
+    It is left out of `__init__`, equality, hashing and `repr`; its
+    value is set with a plain store on first use.  It is the one kind
+    of field the library assigns after construction.
     """
     return field(default=None, init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Vertex:
     """A finite set of elements with pairwise disjoint supports.
 
@@ -85,7 +95,7 @@ class Vertex:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.elements,)))
+            self._hash = hash((self.elements,))
         return self._hash
 
     @property
@@ -106,7 +116,7 @@ class Vertex:
 
     def as_set(self):
         if self._set is None:
-            object.__setattr__(self, "_set", frozenset(self.elements))
+            self._set = frozenset(self.elements)
         return self._set
 
 
@@ -142,7 +152,7 @@ def _vertex_unchecked(elements):
     """
     v = Vertex(_in_key_order(elements))
     if isinstance(elements, frozenset):
-        object.__setattr__(v, "_set", elements)
+        v._set = elements
     return v
 
 
@@ -165,7 +175,7 @@ def _reached(v, out, into):
     return kept.union(into)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Move:
     """An expand or contract move, with the two element sets it swaps.
 
@@ -207,11 +217,11 @@ def apply_move(v, m):
     """
     after = _reached(v, m.basin, m.gain)
     w = validate_vertex(after)
-    object.__setattr__(w, "_set", after)
+    w._set = after
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class AscendingPath:
     """An edge path along which height strictly increases.
 

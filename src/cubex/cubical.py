@@ -29,7 +29,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Cube:
     """The cube determined by a base vertex and its active elements.
 
@@ -143,7 +143,7 @@ def cube_intersection(c1, c2):
     return Cube(v, _in_key_order(collapsed[0] & collapsed[1]))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class LemmaReport:
     """Result of the shared-element check on a pair of cubes.
 
@@ -245,7 +245,7 @@ def _clique_cubes(v, moves, neighbors=()):
     return cube
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class LinkGraph:
     """Moves at a vertex, with edges between moves whose basins are disjoint."""
 
@@ -255,7 +255,7 @@ class LinkGraph:
     neighbors: tuple  # neighbor vertex per node
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FlagReport:
     vertex: Vertex
     node_count: int
@@ -269,7 +269,7 @@ class FlagReport:
         return not self.failures and not self.square_mismatches
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ExplorationGraph:
     """BFS ball in the 1-skeleton; vertices in discovery order."""
 

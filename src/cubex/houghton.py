@@ -51,7 +51,7 @@ def check_point(p):
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class SparseRegion:
     """A region of X: finitely many points plus at most one tail per branch.
 
@@ -114,7 +114,7 @@ def _with_point(region, x):
     return SparseRegion(points, region.tails)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class HPointClass:
     """Class of a singleton map, determined by the image point.
 
@@ -128,14 +128,12 @@ class HPointClass:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.image,)))
+            self._hash = hash((self.image,))
         return self._hash
 
     def support(self):
         if self._support is None:
-            object.__setattr__(
-                self, "_support", SparseRegion(frozenset((self.image,)), ())
-            )
+            self._support = SparseRegion(frozenset((self.image,)), ())
         return self._support
 
     def children(self):
@@ -143,16 +141,14 @@ class HPointClass:
 
     def key(self):
         if self._key is None:
-            object.__setattr__(
-                self, "_key", f"p{self.image[0]}.{self.image[1]}"
-            )
+            self._key = f"p{self.image[0]}.{self.image[1]}"
         return self._key
 
     def __str__(self):
         return self.key()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class HRayClass:
     """Class of a ray map: exceptional images, then a same-branch tail.
 
@@ -200,11 +196,7 @@ class HRayClass:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(
-                self,
-                "_hash",
-                hash((self.branch, self.exceptions, self.tail)),
-            )
+            self._hash = hash((self.branch, self.exceptions, self.tail))
         return self._hash
 
     def support(self):
@@ -221,7 +213,7 @@ class HRayClass:
                 support = SparseRegion.make(
                     self.exceptions, ((self.branch, self.tail),)
                 )
-            object.__setattr__(self, "_support", support)
+            self._support = support
         return self._support
 
     def children(self):
@@ -235,15 +227,13 @@ class HRayClass:
             else:
                 first = (self.branch, self.tail)
                 rest = HRayClass(self.branch, (), self.tail + 1)
-            object.__setattr__(self, "_children", (HPointClass(first), rest))
+            self._children = (HPointClass(first), rest)
         return self._children
 
     def key(self):
         if self._key is None:
             exc = ";".join(f"{i}.{m}" for i, m in self.exceptions)
-            object.__setattr__(
-                self, "_key", f"r{self.branch}:{exc}:{self.tail}"
-            )
+            self._key = f"r{self.branch}:{exc}:{self.tail}"
         return self._key
 
     def __str__(self):
@@ -267,7 +257,7 @@ def canonicalize_ray(branch, images, tail, start=1, tail_branch=None):
     return HRayClass.make(branch, images, tail, tail_branch=tail_branch)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class HGroupElement:
     """An eventually-translation bijection of X.
 
@@ -349,7 +339,7 @@ class HGroupElement:
 
     def apply(self, x):
         if self._images is None:
-            object.__setattr__(self, "_images", dict(self.exceptions))
+            self._images = dict(self.exceptions)
         i, p = x
         return self._images.get(x, (i, p + self.offsets[i - 1]))
 
@@ -357,7 +347,7 @@ class HGroupElement:
         # A bijection's exceptional images are distinct.
         if self._preimages is None:
             inverse = {v: x for x, v in self.exceptions}
-            object.__setattr__(self, "_preimages", inverse)
+            self._preimages = inverse
         i, q = y
         return self._preimages.get(y, (i, q - self.offsets[i - 1]))
 
@@ -384,16 +374,14 @@ class HGroupElement:
             exc = ";".join(
                 f"{x[0]}.{x[1]}>{y[0]}.{y[1]}" for x, y in self.exceptions
             )
-            object.__setattr__(
-                self, "_key", f"g{','.join(map(str, self.offsets))}:{exc}"
-            )
+            self._key = f"g{','.join(map(str, self.offsets))}:{exc}"
         return self._key
 
     def __str__(self):
         return self.key()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class HPiece:
     """A transfer piece: finitely many point maps plus at most one
     within-branch tail translation.  Its domain and image regions are
@@ -413,7 +401,7 @@ class HPiece:
                 SparseRegion.make([p[side] for p in self.point_pairs], tail)
                 for side, tail in enumerate(tails)
             )
-            object.__setattr__(self, "_regions", regions)
+            self._regions = regions
         return self._regions
 
 
@@ -463,7 +451,7 @@ class HoughtonSystem(ExpansionSystem):
         # p lies outside r's support, so the data is valid as it stands,
         # and peeling the glued ray gives back p and r.
         glued = HRayClass._reduced(r.branch, (p.image,) + r.exceptions, r.tail)
-        object.__setattr__(glued, "_children", (p, r))
+        glued._children = (p, r)
         return [glued]
 
     def covers_space(self, regions):

@@ -107,7 +107,7 @@ def _normalize_words(words):
     return tuple(stack)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class BallRegion:
     """A region of the Cantor set: a reduced antichain of ball names."""
 
@@ -196,7 +196,7 @@ def compose_entries(outer, inner):
     return _merge_sorted(out)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class VElement:
     """Canonical class of a finite prefix-map with domain transported to X.
 
@@ -216,7 +216,7 @@ class VElement:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.table,)))
+            self._hash = hash((self.table,))
         return self._hash
 
     def support(self):
@@ -228,7 +228,7 @@ class VElement:
                 support = BallRegion((t[0][1],))
             else:
                 support = BallRegion.make([g for _, g in t])
-            object.__setattr__(self, "_support", support)
+            self._support = support
         return self._support
 
     def children(self):
@@ -247,12 +247,12 @@ class VElement:
                     VElement(tuple((d[1:], g) for d, g in t if d[0] == "0")),
                     VElement(tuple((d[1:], g) for d, g in t if d[0] == "1")),
                 )
-            object.__setattr__(self, "_children", kids)
+            self._children = kids
         return self._children
 
     def key(self):
         if self._key is None:
-            object.__setattr__(self, "_key", _table_text(self.table))
+            self._key = _table_text(self.table)
         return self._key
 
     def __str__(self):
@@ -358,16 +358,16 @@ def _glued(b1, b2, support):
             + ",1" + b2.key().replace(",", ",1")
         )
     glued = VElement(table)
-    object.__setattr__(glued, "_support", support)
-    object.__setattr__(glued, "_children", (b1, b2))
-    object.__setattr__(glued, "_key", key)
+    glued._support = support
+    glued._children = (b1, b2)
+    glued._key = key
     return glued
 
 
 # -- the group ------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class VGroupElement:
     """A table that is a bijection of X: both word columns complete codes.
     The key is computed on first use and kept."""
@@ -390,7 +390,7 @@ class VGroupElement:
 
     def key(self):
         if self._key is None:
-            object.__setattr__(self, "_key", _table_text(self.table))
+            self._key = _table_text(self.table)
         return self._key
 
     def __str__(self):

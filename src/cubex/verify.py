@@ -24,7 +24,7 @@ from .houghton import HoughtonSystem, HPointClass, HRayClass
 from .thompson import VElement, VSystem
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class CheckResult:
     name: str
     passed: bool

@@ -12,7 +12,10 @@ words as the leaves they cover at a fixed depth, sparse regions as their
 enumerated points.  `make` must name the same set as its input, in
 normal form; `all_disjoint` must agree with every pair of those sets;
 `validate_vertex` with a pairwise scan over them; and cached supports,
-keys, hashes and children with freshly built values.
+keys, hashes and children with freshly built values.  No value class is
+frozen, so the hash of every value type is pinned to the one a frozen
+dataclass derived, the hash of its compared fields, and a copy with
+empty caches must be the same value.
 
 Cube corners, halves, peeled rays and coexpansions are built without a
 check, since construction already makes them valid and canonical.  Each
@@ -67,7 +70,7 @@ from cubex import (
 )
 from cubex import thompson
 from cubex.core import _reached
-from cubex.cubical import _admissible, vertex_on_set
+from cubex.cubical import Cube, _admissible, vertex_on_set
 from cubex.houghton import CrossBranchTail, HPiece, SparseRegion
 from cubex.oracle import (
     brute_corners,
@@ -288,6 +291,59 @@ def test_cached_element_data_matches_fresh_values(system, kinds):
         # The hash a frozen dataclass derives from its compared fields.
         assert hash(b) == hash(tuple(compared(b)))
     assert set(seen) == kinds and len(seen) > 50
+
+
+# Reads that fill each value type's caches.
+FILL_CACHES = {
+    Vertex: lambda v: (hash(v), v.as_set()),
+    VGroupElement: VGroupElement.key,
+    HGroupElement: lambda g: (g.key(), g.apply((1, 1)), g.preimage((1, 1))),
+    HPiece: HPiece.regions,
+}
+
+
+def seeded_values(seed):
+    """Seeded `oracle` values of every value type that is not an element:
+    vertices, their supports, moves, cubes and transfer pieces on `v`
+    and `houghton` n=3, and group elements of both."""
+    rng = rng_from_seed(seed)
+    for system in (VSystem(), HoughtonSystem(3)):
+        low = system.base_vertex().height
+        for h in range(low, low + 5):
+            v = random_vertex(system, rng, h)
+            yield v
+            yield from (b.support() for b in v)
+            yield from system.moves(v)
+            yield random_cube_at(system, rng, v, 3)
+            for a, b in itertools.product(v, repeat=2):
+                piece = system.transfer(a, b)
+                if isinstance(piece, HPiece):
+                    yield piece
+    for _ in range(10):
+        yield random_v_group(rng)
+        yield random_h_group(rng, 3)
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+def test_value_hash_is_the_hash_of_its_compared_fields(seed):
+    """Every value type hashes as a frozen dataclass did, and a copy with
+    empty caches is the same value."""
+    seen = collections.Counter()
+    for x in seeded_values(seed):
+        seen[type(x)] += 1
+        FILL_CACHES.get(type(x), hash)(x)
+        fields = dataclasses.fields(x)
+        caches = [f.name for f in fields if not f.init]
+        assert all(getattr(x, name) is not None for name in caches)
+        c = type(x)(**{f.name: getattr(x, f.name) for f in fields if f.init})
+        assert all(getattr(c, name) is None for name in caches)
+        assert hash(x) == hash(tuple(compared(x)))
+        assert c == x and hash(c) == hash(x) and repr(c) == repr(x)
+    assert set(seen) == {
+        Vertex, Move, BallRegion, SparseRegion, VGroupElement,
+        HGroupElement, HPiece, Cube,
+    }
+    assert min(seen.values()) >= 10, seen
 
 
 def reference_validate(elements):
