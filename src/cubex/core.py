@@ -307,18 +307,17 @@ class ExpansionSystem:
     never empty, which `validate_vertex` relies on: a repeated element
     overlaps itself, so the same sweep catches it.
 
-    `moves(v)` yields every move applicable at v: first one expansion
-    per expandable element, in vertex order (`expansions`), then one
-    contraction per coexpansion of each subset from
-    `contraction_candidates(v)`, in that order (`contractions`).  The
-    order is fixed because the seeded generators in `oracle` shuffle and
-    pick from this list, so the same seed gives the same vertices and
-    cubes only while it holds.  `expansions` and `contractions` each
-    take an optional memo, a dict that a traversal owns and passes to
-    every call, so each element's expansion move and each basin's
-    contraction moves are built once per traversal.  The memos live as
-    long as the traversal; nothing is kept on the system or on the
-    elements.
+    `expansions(v)` yields one expansion per expandable element of v,
+    and `contractions(v)` one contraction per coexpansion of each subset
+    from `contraction_candidates(v)`: together, every move applicable at
+    v, which `CubeComplex.moves_at` puts in the one order the engine
+    uses.  Both take an optional `memo`, a dict that a traversal owns and
+    passes to every call.  It maps each expandable element asked about
+    to its expansion move, and each candidate basin to its list of
+    contraction moves, one per coexpansion; a basin is a frozenset, so
+    it never equals an element.  Each move is thus built once per
+    traversal.  The memo lives as long as the traversal; nothing is kept
+    on the system or on the elements.
 
     `header()` holds the fields that name the instance in every vertex
     and cube literal: `instance`, plus `n` for `houghton`.  Two systems
@@ -350,7 +349,9 @@ class ExpansionSystem:
 
     def join_standard(self, s1, s2):
         """The coarsest common refinement of two standard vertices;
-        `CubeComplex.join` reaches it from each by expanding what it lacks."""
+        `CubeComplex.join` reaches it from each by expanding what it lacks.
+        Its elements are disjoint by construction, so, like the base
+        vertex, it is built without `validate_vertex`."""
         raise NotImplementedError
 
     def transfer(self, b1, b2):
@@ -397,48 +398,41 @@ class ExpansionSystem:
         """
         return itertools.combinations(v, 2)
 
-    def moves(self, v, glued=None):
-        """Every move applicable at v, in the order the class doc fixes:
-        `expansions`, then `contractions`."""
-        return itertools.chain(self.expansions(v), self.contractions(v, glued))
-
-    def expansions(self, v, expanded=None):
+    def expansions(self, v, memo=None):
         """One expansion move per expandable element of v, in vertex order.
 
-        `expanded` maps each expandable element already asked about to its
-        expansion move.  A caller that walks many vertices passes one
-        dict, so an element held by several of them has its move built
-        once; with no dict, each call starts a fresh one.  The move is
-        kept in the caller's dict, never on the element: a move holds
+        A caller that walks many vertices passes one `memo` (see the
+        class doc), so an element held by several of them has its move
+        built once; with no dict, each call starts a fresh one.  The move
+        is kept in the caller's dict, never on the element: a move holds
         its target, so a cache on the element would be a reference cycle.
         """
-        if expanded is None:
-            expanded = {}
+        if memo is None:
+            memo = {}
         for b in v:
-            m = expanded.get(b)
+            m = memo.get(b)
             if m is None:
                 if b.children() is None:
                     continue
-                m = expanded[b] = Move.expand(b)
+                m = memo[b] = Move.expand(b)
             yield m
 
-    def contractions(self, v, glued=None):
+    def contractions(self, v, memo=None):
         """One contraction move per coexpansion of each subset from
         `contraction_candidates(v)`, in that order.
 
-        `glued` maps each candidate basin already asked about to its
-        contraction moves, one per coexpansion, and is shared as
-        `expanded` is in `expansions`: a basin shared by several vertices
-        is glued, and its moves built, once.  Reuse is safe because
-        `coexpansions` is pure and moves are immutable.
+        `memo` is shared as in `expansions`: a basin held by several
+        vertices is glued, and its moves built, once.  Reuse is safe
+        because `coexpansions` is pure and moves are immutable.  Each
+        move keeps the memo key as its `basin`.
         """
-        if glued is None:
-            glued = {}
+        if memo is None:
+            memo = {}
         for subset in self.contraction_candidates(v):
             basin = frozenset(subset)
-            contractions = glued.get(basin)
+            contractions = memo.get(basin)
             if contractions is None:
-                contractions = glued[basin] = [
+                contractions = memo[basin] = [
                     Move("contract", t, basin, frozenset((t,)))
                     for t in self.coexpansions(basin)
                 ]

@@ -287,17 +287,17 @@ class CubeComplex:
 
     # -- moves and neighbors ----------------------------------------------
 
-    def moves_at(self, v, glued=None, expanded=None):
+    def moves_at(self, v, memo=None):
         """All moves applicable at a full-support vertex; always finite.
 
-        `glued` and `expanded` are passed on to the system's
-        `contractions` and `expansions` (see `ExpansionSystem`).  The
-        moves come sorted by kind, then by target key: the contractions
-        first, by target key, then the expansions in the order
-        `expansions` yields them, which is vertex (key) order.
+        `memo` is passed on to the system's `contractions` and
+        `expansions` (see `ExpansionSystem`).  This is the one ordered
+        list of moves: sorted by kind, then by target key, that is, the
+        contractions first, by target key, then the expansions in the
+        order `expansions` yields them, which is vertex (key) order.
         """
-        moves = sorted(self.system.contractions(v, glued), key=_target_key)
-        moves.extend(self.system.expansions(v, expanded))
+        moves = sorted(self.system.contractions(v, memo), key=_target_key)
+        moves.extend(self.system.expansions(v, memo))
         return moves
 
     def neighbors(self, v):
@@ -400,14 +400,13 @@ class CubeComplex:
         canonical vertex order.  Raises CapExceeded (carrying the partial
         graph) if more than `cap` vertices would be collected.
 
-        Two dicts (see `ExpansionSystem`) serve the whole traversal:
-        `glued`, so each candidate basin is glued, and its contraction
-        moves built, once per call rather than once per frontier vertex
-        that holds it, and `expanded`, so each element's expansion move
-        is built once.  Each has at most one entry per candidate or
-        element of a frontier vertex, so `cap` bounds them too, and both
-        are dropped on return: nothing is kept between calls, and no
-        element is left holding a move.
+        One `memo` (see `ExpansionSystem`) serves the whole traversal, so
+        each candidate basin is glued, and its contraction moves built,
+        once per call rather than once per frontier vertex that holds it,
+        and each element's expansion move is built once.  It has at most
+        one entry per candidate or element of a frontier vertex, so `cap`
+        bounds it too, and it is dropped on return: nothing is kept
+        between calls, and no element is left holding a move.
 
         Vertices are indexed by the element sets they keep.  A move's
         neighbour is looked up by its set (`core._reached`) before
@@ -415,7 +414,7 @@ class CubeComplex:
         `apply_move` and `validate_vertex`, when it is first reached; an
         edge back to a known vertex builds nothing.
         """
-        glued, expanded = {}, {}
+        memo = {}
         index = {start.as_set(): 0}
         order = [start]
         edges = set()
@@ -427,7 +426,7 @@ class CubeComplex:
             next_frontier = []
             for v in frontier:
                 a = index[v.as_set()]
-                for m in moves_at(v, glued, expanded):
+                for m in moves_at(v, memo):
                     b = lookup(_reached(v, m.basin, m.gain))
                     if b is None:
                         if len(order) >= cap:

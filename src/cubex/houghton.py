@@ -25,9 +25,9 @@ from .core import (
     ExpansionSystem,
     InputError,
     NotABijection,
+    _vertex_unchecked,
     ascend,
     cached_field,
-    validate_vertex,
 )
 
 
@@ -468,7 +468,9 @@ class HoughtonSystem(ExpansionSystem):
         )
 
     def base_vertex(self):
-        return validate_vertex(
+        """One whole ray per branch: disjoint by construction, so the
+        vertex is not checked."""
+        return _vertex_unchecked(
             [HRayClass(i, (), 1) for i in range(1, self.n + 1)]
         )
 
@@ -487,6 +489,10 @@ class HoughtonSystem(ExpansionSystem):
         return starts
 
     def join_standard(self, s1, s2):
+        """Per branch, one ray from the later of the two tails and a
+        point at each position below it.  The ray and the points of a
+        branch tile it, one ray per branch, so the vertex is disjoint by
+        construction and is not checked again."""
         t1 = self._standard_tails(s1)
         t2 = self._standard_tails(s2)
         target_tails = {i: max(t1[i], t2[i]) for i in t1}
@@ -498,7 +504,7 @@ class HoughtonSystem(ExpansionSystem):
             for i, k in target_tails.items()
             for q in range(1, k)
         ]
-        return validate_vertex(elements)
+        return _vertex_unchecked(elements)
 
     def transfer(self, b1, b2):
         if isinstance(b1, HPointClass) and isinstance(b2, HPointClass):

@@ -22,7 +22,7 @@ from .core import (
     validate_vertex,
 )
 from . import houghton, thompson
-from .cubical import CubeComplex
+from .cubical import CubeComplex, _target_key
 
 
 def rng_from_seed(seed):
@@ -129,20 +129,18 @@ def random_h_group(rng, n, spread=2):
 # -- vertex and cube generators ----------------------------------------------
 
 
-def _target_key(m):
-    return m.target.key()
-
-
 def random_vertex(system, rng, height_bound):
     """A random full-support vertex of exactly `height_bound` elements,
-    built by a random move sequence from the system's base vertex.  One
-    `glued` dict (see `ExpansionSystem.contractions`) serves the whole
+    built by a random move sequence from the system's base vertex.  Each
+    step picks from the moves sorted by target key, which is unique at a
+    vertex, so the order the system lists them in does not matter.  One
+    `memo` (see `ExpansionSystem`) serves the contractions of the whole
     walk, so each basin on it is glued, and its contraction moves built,
-    once.  Expansion moves are built afresh at each step: a shared
-    `expanded` dict finds an element's move under an equal element met
+    once.  Expansion moves are built afresh at each step: a memo shared
+    with `expansions` finds an element's move under an equal element met
     earlier, so the vertex returned would hold elements whose children
     are not cached, and the caller's first query would build them."""
-    glued = {}
+    memo = {}
     v = system.base_vertex()
     if height_bound < v.height:
         raise ValueError(
@@ -153,7 +151,7 @@ def random_vertex(system, rng, height_bound):
         # A contraction lowers the height, which never exceeds the ceiling.
         candidates = [
             m
-            for m in system.moves(v, glued)
+            for m in (*system.expansions(v), *system.contractions(v, memo))
             if m.kind == "contract"
             or v.height + len(m.target.children()) - 1 <= ceiling
         ]
@@ -161,7 +159,7 @@ def random_vertex(system, rng, height_bound):
             break
         v = apply_move(v, rng.choice(sorted(candidates, key=_target_key)))
     while v.height > height_bound:
-        contracts = list(system.contractions(v, glued))
+        contracts = list(system.contractions(v, memo))
         v = apply_move(v, rng.choice(sorted(contracts, key=_target_key)))
     while v.height < height_bound:
         expands = list(system.expansions(v))
@@ -170,8 +168,12 @@ def random_vertex(system, rng, height_bound):
 
 
 def random_cube_at(system, rng, v, max_dim):
-    """A random cube containing v, spanned by a random disjoint move set."""
-    moves = list(system.moves(v))
+    """A random cube containing v, spanned by a random disjoint move set.
+
+    The shuffle starts from one fixed order, the expansions in vertex
+    order and then the contractions in candidate order, so the same seed
+    gives the same cube only while that order holds."""
+    moves = [*system.expansions(v), *system.contractions(v)]
     rng.shuffle(moves)
     chosen = []
     for m in moves:

@@ -28,9 +28,9 @@ from .core import (
     NotABijection,
     OverlappingSupports,
     Vertex,
+    _vertex_unchecked,
     ascend,
     cached_field,
-    validate_vertex,
 )
 
 
@@ -427,6 +427,10 @@ class VSystem(ExpansionSystem):
         return ascend(v, lambda b: len(b.table) > 1)
 
     def join_standard(self, s1, s2):
+        """The common refinement of two standard vertices' codes: of each
+        pair of nested words, the longer.  Two words kept are never
+        nested, since each code is an antichain, so the balls are
+        disjoint by construction and the vertex is not checked again."""
         code1 = self._standard_code(s1)
         code2 = self._standard_code(s2)
         joined = set()
@@ -436,9 +440,7 @@ class VSystem(ExpansionSystem):
                     joined.add(w)
                 elif u.startswith(w):
                     joined.add(u)
-        return validate_vertex(
-            [VElement((("", w),)) for w in sorted(joined)]
-        )
+        return _vertex_unchecked([VElement((("", w),)) for w in joined])
 
     def _standard_code(self, s):
         words = []

@@ -144,36 +144,40 @@ def check_degree_law(seed=0, samples=200):
 # -- 5: link flag condition -----------------------------------------------------
 
 
-def _ball_sample(system, rng, radius, count):
-    cx = CubeComplex(system)
-    ball = list(cx.bfs(system.base_vertex(), radius).vertices)
-    if len(ball) <= count:
-        return ball
-    return rng.sample(ball, count)
+FLAG_RADIUS = 3
+FLAG_MAX_CLIQUE = 4
 
 
-def check_flag_condition(seed=0, samples=100, radius=3, max_clique=4):
+def check_flag_condition(seed=0, samples=100):
+    """The flag condition at up to `samples` vertices of the ball of
+    radius FLAG_RADIUS around each system's base vertex."""
     failures = []
     scanned = 0
     for system in (VSystem(), HoughtonSystem(2)):
         cx = CubeComplex(system)
         rng = oracle.rng_from_seed(seed)
-        for v in _ball_sample(system, rng, radius, samples):
-            rep = cx.check_flag(v, max_clique)
+        ball = list(cx.bfs(system.base_vertex(), FLAG_RADIUS).vertices)
+        if len(ball) > samples:
+            ball = rng.sample(ball, samples)
+        for v in ball:
+            rep = cx.check_flag(v, FLAG_MAX_CLIQUE)
             scanned += 1
             if not rep.passed:
                 failures.append((system.name, v.key()))
     return _result(
         "flag-condition",
         failures,
-        f"{scanned} vertices within radius {radius}, cliques <= {max_clique}",
+        f"{scanned} vertices within radius {FLAG_RADIUS}, cliques <= {FLAG_MAX_CLIQUE}",
     )
 
 
 # -- 6: cube intersections --------------------------------------------------------
 
 
-def check_cube_intersections(seed=0, samples=200, max_dim=4):
+CUBE_MAX_DIM = 4
+
+
+def check_cube_intersections(seed=0, samples=200):
     failures = []
     for system in (VSystem(), HoughtonSystem(2)):
         rng = oracle.rng_from_seed(seed + (0 if system.name == "v" else 1))
@@ -182,9 +186,9 @@ def check_cube_intersections(seed=0, samples=200, max_dim=4):
             v = oracle.random_vertex(
                 system, rng, base_height + rng.randint(0, 3)
             )
-            c1 = oracle.random_cube_at(system, rng, v, max_dim)
+            c1 = oracle.random_cube_at(system, rng, v, CUBE_MAX_DIM)
             w = rng.choice(cube_vertices(c1))
-            c2 = oracle.random_cube_at(system, rng, w, max_dim)
+            c2 = oracle.random_cube_at(system, rng, w, CUBE_MAX_DIM)
             got = cube_intersection(c1, c2)
             want = oracle.brute_cube_intersection(c1, c2)
             got_set = set(cube_vertices(got)) if got is not None else set()
@@ -202,7 +206,7 @@ def check_cube_intersections(seed=0, samples=200, max_dim=4):
     return _result(
         "cube-intersections",
         failures,
-        f"{2 * (samples // 2)} sharing pairs, dims <= {max_dim}",
+        f"{2 * (samples // 2)} sharing pairs, dims <= {CUBE_MAX_DIM}",
     )
 
 

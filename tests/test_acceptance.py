@@ -38,17 +38,11 @@ def test_criterion_04_degree_law():
 
 
 def test_criterion_05_link_flag_condition():
-    _run(
-        verify.check_flag_condition,
-        budget=300,
-        samples=100,
-        radius=3,
-        max_clique=4,
-    )
+    _run(verify.check_flag_condition, budget=300, samples=100)
 
 
 def test_criterion_06_cube_intersections():
-    _run(verify.check_cube_intersections, budget=120, samples=200, max_dim=4)
+    _run(verify.check_cube_intersections, budget=120, samples=200)
 
 
 def test_criterion_07_directedness_witness():

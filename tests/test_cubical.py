@@ -731,30 +731,19 @@ def test_check_flag_counts_an_unbuildable_clique_as_a_failure(monkeypatch):
     assert "corner" in caught.values()
 
 
-def count_checked_builds(monkeypatch, system):
-    """Per builder, one flag per call: was it made inside `join_standard`?"""
+def count_checked_builds(monkeypatch):
+    """Per checked builder, the arguments of each call made to it."""
     calls = {"validate_vertex": [], "apply_move": []}
-    inside = []
     for name, log in calls.items():
         real = getattr(core, name)
 
         def counted(*args, _real=real, _log=log):
-            _log.append(bool(inside))
+            _log.append(args)
             return _real(*args)
 
         for module in (core, cubical, thompson, houghton):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted)
-    join_standard = type(system).join_standard
-
-    def marked(self, s1, s2):
-        inside.append(True)
-        try:
-            return join_standard(self, s1, s2)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(type(system), "join_standard", marked)
     return calls
 
 
@@ -762,19 +751,36 @@ def count_checked_builds(monkeypatch, system):
 def test_cube_layer_makes_no_checked_builds(system, monkeypatch):
     sx = CubeComplex(system)
     vertices = seeded_vertices(system, 7, 10, 4)
-    calls = count_checked_builds(monkeypatch, system)
+    calls = count_checked_builds(monkeypatch)
     for v in vertices:
         sx.cubes_at(v, 3)
         sx.check_flag(v, 3)
         sx.link_graph(v)
         sx.neighbors(v)
         system.standardize(v)
-    assert calls == {"validate_vertex": [], "apply_move": []}
     for v1, v2 in zip(vertices[::2], vertices[1::2]):
         sx.join(v1, v2)
-    assert calls["apply_move"] == []
-    assert len(calls["validate_vertex"]) == 5
-    assert all(calls["validate_vertex"])
+    assert calls == {"validate_vertex": [], "apply_move": []}
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@BUILT_SYSTEMS
+def test_join_targets_match_validate_vertex(system, seed):
+    # `base_vertex` and `join_standard` build without a check, so each
+    # must equal what `validate_vertex` makes of its own elements in
+    # shuffled order, and cover the space.
+    rng = rng_from_seed(seed)
+    sx = CubeComplex(system)
+    vertices = seeded_vertices(system, seed, 40, 5)
+    targets = [system.base_vertex()] + [
+        sx.join(v1, v2)[0] for v1, v2 in zip(vertices[::2], vertices[1::2])
+    ]
+    for w in targets:
+        elements = list(w)
+        rng.shuffle(elements)
+        assert validate_vertex(elements).elements == w.elements, w
+        assert system.is_full_support(w), w
+    assert len({w.height for w in targets}) > 3
 
 
 def flag_reports_and_builds(monkeypatch, vertices, share):
@@ -969,23 +975,25 @@ def test_bfs_glues_each_candidate_basin_once(name):
 @pytest.mark.parametrize("name", sorted(_SYSTEMS))
 def test_moves_with_a_shared_dict_equal_moves_with_a_fresh_one(name):
     system = _SYSTEMS[name]()
-    graph = CubeComplex(system).bfs(_seeded_start(system, 1009), 3)
-    glued = {}
+    cx = CubeComplex(system)
+    graph = cx.bfs(_seeded_start(system, 1009), 3)
+    memo = {}
     candidates = 0
     for v in graph.vertices:
-        assert list(system.moves(v, glued)) == list(system.moves(v))
+        assert cx.moves_at(v, memo) == cx.moves_at(v)
         candidates += sum(1 for _ in system.contraction_candidates(v))
-    # The shared dict was hit, not just filled.
-    assert len(glued) < candidates
+    # The shared memo was hit, not just filled.
+    basins = sum(isinstance(key, frozenset) for key in memo)
+    assert basins < candidates
 
 
 @pytest.mark.parametrize("name", sorted(_SYSTEMS))
 def test_memoised_contractions_keep_their_key_as_basin(name):
     system = _SYSTEMS[name]()
-    glued = {}
+    memo = {}
     for v in CubeComplex(system).bfs(_seeded_start(system, 7), 2).vertices:
-        list(system.moves(v, glued))
-    contractions = [(key, m) for key, ms in glued.items() for m in ms]
+        list(system.contractions(v, memo))
+    contractions = [(key, m) for key, ms in memo.items() for m in ms]
     assert contractions
     for key, m in contractions:
         assert m.basin is key

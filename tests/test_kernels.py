@@ -29,9 +29,10 @@ halves' keys is compared with the text of its table, the one-sort union
 of two supports with `all_disjoint` and `make`, and the support a glued
 `houghton` ray takes from its basin with `make` of its own data.
 `moves_at`, which sorts only the contractions, is compared with the sort
-by kind, then target key.  The two sets a move
-keeps are compared with their definition, and the one set equation of
-`vertex_on_set` with the brute corner list of `cubex.oracle`.
+by kind, then target key, of the expansions and contractions listed.
+The two sets a move keeps are compared with their definition, and the
+one set equation of `vertex_on_set` with the brute corner list of
+`cubex.oracle`.
 
 The group layer checks a group element once, where it is parsed.
 `assemble` asks one tiling rule of its pieces and is compared with the
@@ -245,6 +246,11 @@ def test_all_disjoint_matches_every_pair(system, region_type, stray):
     assert outcomes.count(True) > 300 and outcomes.count(False) > 300
 
 
+def listed_moves(system, v):
+    """Every move at v, expansions first: the order `oracle` shuffles."""
+    return [*system.expansions(v), *system.contractions(v)]
+
+
 def walk_elements(system, seed):
     """Elements of seeded random vertices and of their expansions."""
     rng = rng_from_seed(seed)
@@ -313,7 +319,7 @@ def seeded_values(seed):
             v = random_vertex(system, rng, h)
             yield v
             yield from (b.support() for b in v)
-            yield from system.moves(v)
+            yield from listed_moves(system, v)
             yield random_cube_at(system, rng, v, 3)
             for a, b in itertools.product(v, repeat=2):
                 piece = system.transfer(a, b)
@@ -410,7 +416,7 @@ def test_moves_and_corners_match_validate_vertex(system, seed):
     built = {"expand": 0, "contract": 0, "corner": 0}
     for h in range(low, low + 6):
         v = random_vertex(system, rng, h)
-        for m in system.moves(v):
+        for m in listed_moves(system, v):
             elements = [b for b in v if b not in m.basin]
             if m.kind == "expand":
                 elements += m.target.children()
@@ -441,7 +447,7 @@ def test_move_sets_match_their_definition(system, seed):
     kinds = {"expand": 0, "contract": 0}
     for h in range(low, low + 6):
         v = random_vertex(system, rng, h)
-        for m in system.moves(v):
+        for m in listed_moves(system, v):
             one = frozenset((m.target,))
             kids = frozenset(m.target.children())
             if m.kind == "expand":
@@ -476,7 +482,7 @@ def test_vertex_on_set_matches_brute_corners(system, seed):
             corners = brute_corners(c)
             near = set(corners)
             for w in corners:
-                near.update(apply_move(w, m) for m in system.moves(w))
+                near.update(apply_move(w, m) for m in listed_moves(system, w))
             for w in near:
                 on = vertex_on_set(c, w)
                 assert (on is not None) == (w in corners), (c, w)
@@ -583,7 +589,7 @@ def test_coexpansion_children_match_fresh_values(system, seed):
     for h in range(low, low + 6):
         v = random_vertex(system, rng, h)
         by_basin = collections.defaultdict(list)
-        for m in system.moves(v):
+        for m in listed_moves(system, v):
             if m.kind == "contract":
                 by_basin[m.basin].append(m.target)
         for basin, targets in by_basin.items():
@@ -624,7 +630,7 @@ def v_pairs(seed):
     for h in range(1, 8):
         v = random_vertex(system, rng, h)
         yield from itertools.permutations(v, 2)
-        for m in system.moves(v):
+        for m in listed_moves(system, v):
             w = apply_move(v, m)
             yield from itertools.product(v, w)
 
@@ -667,25 +673,25 @@ def test_disjoint_union_matches_the_sweep_and_make(seed):
 @SYSTEMS
 @pytest.mark.parametrize("seed", SEEDS)
 def test_moves_at_sorts_by_kind_then_target_key(system, seed):
-    # `moves_at` sorts only the contractions; `moves` yields the
-    # expansions in vertex order, and "contract" < "expand".  The order
-    # is the one the seeded generators rely on.
+    # `moves_at` sorts only the contractions; `expansions` yields in
+    # vertex order, and "contract" < "expand".
     cx = CubeComplex(system)
     rng = rng_from_seed(seed)
     low = system.base_vertex().height
-    glued = {}
+    memo = {}
     kinds = {"expand": 0, "contract": 0}
     for h in range(low, low + 5):
         v = random_vertex(system, rng, h)
-        for w in [v] + [apply_move(v, m) for m in system.moves(v)]:
+        for w in [v] + [apply_move(v, m) for m in listed_moves(system, v)]:
             want = sorted(
-                system.moves(w), key=lambda m: (m.kind, m.target.key())
+                listed_moves(system, w),
+                key=lambda m: (m.kind, m.target.key()),
             )
             assert cx.moves_at(w) == want, w
-            assert cx.moves_at(w, glued) == want, w
+            assert cx.moves_at(w, memo) == want, w
             for m in want:
                 kinds[m.kind] += 1
-    assert glued and min(kinds.values()) > 50, kinds
+    assert memo and min(kinds.values()) > 50, kinds
 
 
 # -- the group layer: one tiling rule, trusted actions ----------------------

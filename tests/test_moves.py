@@ -1,18 +1,20 @@
 """Moves built once per traversal, checked against moves built afresh.
 
-`CubeComplex.bfs` passes two dicts through `moves_at` into the system's
+`CubeComplex.bfs` passes one memo through `moves_at` into the system's
 `expansions` and `contractions`, so each element's expansion move and
 each basin's contraction moves are built once per traversal, and
 `houghton` asks only about point–ray pairs.  Each fast path is compared,
 on seeded vertices (`v`, `houghton` n=2 and n=3, seeds 7 and 1009),
 with the path it replaces: candidates from the default
 `combinations(v, 2)`, a fresh `Move.expand` for every element, and a
-breadth-first loop over `moves_at` and `apply_move` with no dict at all.
+breadth-first loop over `moves_at` and `apply_move` with no memo at all.
+A memo shared over a walk or a traversal holds exactly what was asked.
 None of these may depend on hash order, and a traversal must leave no
 reference cycle behind, which would keep its moves alive until the
 cycle collector ran.
 """
 
+import collections
 import gc
 import itertools
 
@@ -46,6 +48,11 @@ def seeded_start(system, seed):
     return random_vertex(system, rng_from_seed(seed), height)
 
 
+def listed_moves(system, v, memo=None):
+    """Every move at v, expansions first: the order `oracle` shuffles."""
+    return [*system.expansions(v, memo), *system.contractions(v, memo)]
+
+
 def seeded_vertices(system, seed):
     """Seeded vertices of six heights, each with its neighbours."""
     rng = rng_from_seed(seed)
@@ -53,7 +60,7 @@ def seeded_vertices(system, seed):
     for h in range(low, low + 6):
         v = random_vertex(system, rng, h)
         yield v
-        yield from (apply_move(v, m) for m in system.moves(v))
+        yield from (apply_move(v, m) for m in listed_moves(system, v))
 
 
 def same_moves(got, want):
@@ -66,8 +73,8 @@ def same_moves(got, want):
 
 
 def reference_moves(system, v):
-    """`moves(v)` from every 2-subset, as `ExpansionSystem` asks by
-    default, with every move built afresh."""
+    """`listed_moves(v)` from every 2-subset, as `ExpansionSystem` asks
+    by default, with every move built afresh."""
     moves = [Move.expand(b) for b in v if b.children() is not None]
     for subset in ExpansionSystem.contraction_candidates(system, v):
         basin = frozenset(subset)
@@ -86,7 +93,7 @@ def test_moves_equal_the_moves_of_every_pair(name, seed):
     system = SYSTEMS[name]()
     skipped = kept = 0
     for v in seeded_vertices(system, seed):
-        same_moves(list(system.moves(v)), reference_moves(system, v))
+        same_moves(listed_moves(system, v), reference_moves(system, v))
         asked = list(system.contraction_candidates(v))
         every = list(itertools.combinations(v, 2))
         assert asked == [pair for pair in every if pair in asked]
@@ -106,27 +113,104 @@ def test_moves_equal_the_moves_of_every_pair(name, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_memoised_expansions_equal_fresh_moves(name, seed):
     system = SYSTEMS[name]()
-    expanded, glued = {}, {}
+    memo = {}
     asked = 0
     for v in seeded_vertices(system, seed):
-        moves = list(system.expansions(v, expanded))
+        moves = list(system.expansions(v, memo))
         fresh = [Move.expand(b) for b in v if b.children() is not None]
         same_moves(moves, fresh)
         assert all(m.target in v for m in moves)
         # A second call hands back the same objects.
-        again = list(system.expansions(v, expanded))
+        again = list(system.expansions(v, memo))
         assert all(a is b for a, b in zip(again, moves))
         asked += len(moves)
         same_moves(
-            CubeComplex(system).moves_at(v, glued, expanded),
+            CubeComplex(system).moves_at(v, memo),
             CubeComplex(system).moves_at(v),
         )
-    # The dict holds expansion moves only, and it was hit, not just
-    # filled.
+    # The elements map to their expansion moves, and the memo was hit,
+    # not just filled.
+    expanded = {b: m for b, m in memo.items() if not isinstance(b, frozenset)}
     assert all(
         m.kind == "expand" and m.target == b for b, m in expanded.items()
     )
     assert len(expanded) < asked / 2, (len(expanded), asked)
+
+
+def asked_memo(system, calls):
+    """The memo that answers exactly the `(kind, v)` calls: each
+    expandable element of v asked about by "expand", mapped to its
+    expansion move, and each candidate basin of v asked about by
+    "contract", mapped to its contraction moves, all built afresh."""
+    want = {}
+    for kind, v in calls:
+        if kind == "expand":
+            want.update(
+                (b, Move.expand(b)) for b in v if b.children() is not None
+            )
+            continue
+        for subset in system.contraction_candidates(v):
+            basin = frozenset(subset)
+            targets = system.coexpansions(basin)
+            want[basin] = [Move.contract(t) for t in targets]
+    return want
+
+
+def same_memo(got, want):
+    """Equal memos; each contraction keeps its own key as its basin."""
+    assert got.keys() == want.keys()
+    for key, moves in got.items():
+        if isinstance(key, frozenset):
+            same_moves(moves, want[key])
+            assert all(m.basin is key for m in moves)
+        else:
+            same_moves([moves], [want[key]])
+
+
+@NAMES
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_memo_shared_over_a_walk_holds_what_was_asked(name, seed):
+    system = SYSTEMS[name]()
+    memo = {}
+    calls = []
+    for v in seeded_vertices(system, seed):
+        same_moves(listed_moves(system, v, memo), listed_moves(system, v))
+        calls += [("expand", v), ("contract", v)]
+    same_memo(memo, asked_memo(system, calls))
+    kinds = collections.Counter(isinstance(k, frozenset) for k in memo)
+    assert min(kinds.values()) > 20, kinds
+
+
+@NAMES
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_memo_shared_over_a_bfs_holds_what_was_asked(name, seed):
+    # Every call `bfs` makes gets the one memo, yields what a fresh call
+    # yields, in the same order, and leaves in the memo exactly what it
+    # asked about.
+    system = SYSTEMS[name]()
+    memos, calls = [], []
+
+    def recording(kind, real):
+        def generate(v, memo=None):
+            memos.append(memo)
+            calls.append((kind, v))
+            moves = list(real(v, memo))
+            same_moves(moves, list(real(v)))
+            return iter(moves)
+
+        return generate
+
+    start = seeded_start(system, seed)
+    # The vertices `bfs` takes moves from: those closer than the radius.
+    inner = CubeComplex(system).bfs(start, 2).vertices
+    system.expansions = recording("expand", system.expansions)
+    system.contractions = recording("contract", system.contractions)
+    CubeComplex(system).bfs(start, 3)
+    assert collections.Counter(calls) == collections.Counter(
+        (kind, v) for v in inner for kind in ("expand", "contract")
+    )
+    assert all(memo is memos[0] for memo in memos)
+    same_memo(memos[0], asked_memo(system, calls))
 
 
 @NAMES
