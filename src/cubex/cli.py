@@ -127,11 +127,20 @@ def cmd_cubes(args):
     return 0
 
 
-def cmd_intersect(args):
-    system, c1 = literals.parse_cube_obj(_load_json(args.cube1))
-    system2, c2 = literals.parse_cube_obj(_load_json(args.cube2))
+def _load_pair(parse, path1, path2, what):
+    """The literals in two files, parsed by `parse`; InputError unless
+    they name the same instance."""
+    system, x1 = parse(_load_json(path1))
+    system2, x2 = parse(_load_json(path2))
     if system.header() != system2.header():
-        raise InputError("cubes belong to different instances")
+        raise InputError(f"{what} belong to different instances")
+    return system, x1, x2
+
+
+def cmd_intersect(args):
+    system, c1, c2 = _load_pair(
+        literals.parse_cube_obj, args.cube1, args.cube2, "cubes"
+    )
     got = cube_intersection(c1, c2)
     out = {
         "intersection": None if got is None else literals.cube_to_obj(system, got)
@@ -153,10 +162,9 @@ def cmd_intersect(args):
 
 
 def cmd_join(args):
-    system, v1 = literals.parse_vertex_obj(_load_json(args.vertex1))
-    system2, v2 = literals.parse_vertex_obj(_load_json(args.vertex2))
-    if system.header() != system2.header():
-        raise InputError("vertices belong to different instances")
+    system, v1, v2 = _load_pair(
+        literals.parse_vertex_obj, args.vertex1, args.vertex2, "vertices"
+    )
     cx = CubeComplex(system)
     w, p1, p2 = cx.join(v1, v2)
     _emit(

@@ -357,7 +357,15 @@ class ExpansionSystem:
     def transfer(self, b1, b2):
         """The unique partial-map piece carrying b1's support onto b2's so
         that any group element extending it maps b1 to b2; None if no such
-        piece exists."""
+        piece exists.
+
+        `CubeComplex.stabilizer` relies on this contract: the piece is
+        unique, so a group element fixing a vertex is the union of the
+        pieces of the permutation it makes of the vertex's elements;
+        `transfer(b, b)` is the identity on b's support; and the relation
+        "`transfer(a, b)` is not None" is an equivalence (reflexive,
+        symmetric and transitive), whose classes the stabilizer permutes.
+        """
         raise NotImplementedError
 
     def assemble(self, pieces):

@@ -13,13 +13,13 @@ by assembling transfer pieces.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .core import (
     CapExceeded,
     DuplicateElement,
     InputError,
-    NotABijection,
     Vertex,
     _in_key_order,
     _reached,
@@ -454,146 +454,97 @@ class CubeComplex:
     # -- stabilizers -------------------------------------------------------------
 
     def stabilizer(self, v, cap=100_000):
-        """All group elements fixing v, sorted by key.
+        """All group elements fixing v, sorted by key: the span of the
+        class generators.
 
-        The k x k table of `transfer(els[i], els[j])` pieces is built
-        once.  The search then walks, depth-first and in lexicographic
-        order, only the permutations whose every piece exists: exactly
-        those a loop over all k! permutations would not abandon at a
-        missing piece.  Each one is assembled, and the result is kept
-        iff it fixes v, so the list equals that loop's.  g fixes v iff
-        every g·b lies in v: v's k elements are distinct and g is a
-        bijection, so k images in v are v.  Raises CapExceeded
-        (carrying the sorted elements found so far) if more than `cap`
-        distinct elements would be collected.  The list is then checked
-        to be closed under inversion and, through the span of a
-        generating set drawn from it, under composition
-        (`_check_closed`): the same statement that checking all |G|^2
-        products makes.  The elements that the `_class_generators`
-        permutations assembled to are walked first.  They generate the
-        product of the classes' symmetric groups, so the walk forms |G|
-        products per class generator: two per element when one class
-        holds every element v's stabilizer moves.
+        Row i of the k x k table of `transfer(els[i], els[j])` pieces
+        holds the j that element i can be carried to: its class
+        (`_transfer_classes`).  A g fixing v permutes v's k elements,
+        g·els[i] = els[p(i)], and so extends the pieces
+        `table[i][p(i)]`; by `transfer`'s uniqueness contract, g is
+        their union, `assemble`'s result, so g is determined by p.  Each
+        p(i) lies in i's class, and g -> p is a homomorphism into the
+        product of the classes' symmetric groups.  A transposition and a
+        cycle generate each factor (`_class_generators`); each is
+        assembled, which checks the tiling, and checked to fix v, which
+        holds iff its k images lie in v (v's elements are distinct and
+        g is a bijection).  Their span, grown from the identity by right
+        multiplication, is closed by construction and maps onto the
+        product.  So it has ∏ (class size)! elements iff g -> p is
+        one-to-one, and then it is the whole stabilizer; InputError
+        otherwise.  Each member is multiplied by each generator once:
+        two products per element when one class holds every element the
+        stabilizer moves.  Raises CapExceeded (carrying the first `cap`
+        elements found, sorted) once more than `cap` are found.  The
+        span is walked as a list in the order found, and the set beside
+        it only answers membership, so no hash order reaches the
+        products formed or the partial list.
         """
         els = list(v)
         members = v.as_set()
-        table = [[self.system.transfer(a, b) for b in els] for a in els]
-        seeds = dict.fromkeys(_class_generators(table))
-        found = {}
-        for perm in _admissible(table):
-            try:
-                g = self.system.assemble(
-                    [row[j] for row, j in zip(table, perm)]
+        system = self.system
+        table = [[system.transfer(a, b) for b in els] for a in els]
+        classes = _transfer_classes(table)
+        generators = []
+        for perm in _class_generators(classes):
+            g = system.assemble([row[j] for row, j in zip(table, perm)])
+            if not all(system.act(g, b) in members for b in els):
+                raise InputError("a class generator does not fix the vertex")
+            generators.append(g)
+        group = [system.identity()]
+        span = set(group)
+        key = type(group[0]).key
+        for g in group:  # grows as it is walked
+            for t in generators:
+                h = g * t
+                if h not in span:
+                    span.add(h)
+                    group.append(h)
+            if len(group) > cap:
+                raise CapExceeded(
+                    f"stabilizer exceeded {cap} elements",
+                    partial=sorted(group[:cap], key=key),
                 )
-            except NotABijection:
-                continue
-            if all(self.system.act(g, b) in members for b in els):
-                key = g.key()
-                if key not in found and len(found) >= cap:
-                    raise CapExceeded(
-                        f"stabilizer exceeded {cap} elements",
-                        partial=[found[k] for k in sorted(found)],
-                    )
-                found[key] = g
-                if perm in seeds:
-                    seeds[perm] = g
-        group = [found[k] for k in sorted(found)]
-        first = [g for g in seeds.values() if g is not None]
-        _check_closed(group, self.system.identity(), first)
-        return group
+        if len(group) != math.prod(math.factorial(len(c)) for c in classes):
+            raise InputError("stabilizer order is not the classes' product")
+        return sorted(group, key=key)
 
 
-def _admissible(table):
-    """Index tuples p with `table[i][p[i]]` not None for every i: the
-    permutations admitting a piece per row, in lexicographic order."""
-    k = len(table)
-    perm = []
-    used = [False] * k
-
-    def extend(i):
-        if i == k:
-            yield tuple(perm)
-            return
-        for j in range(k):
-            if not used[j] and table[i][j] is not None:
-                used[j] = True
-                perm.append(j)
-                yield from extend(i + 1)
-                perm.pop()
-                used[j] = False
-
-    return extend(0)
-
-
-def _class_generators(table):
-    """For each class of indices, the j with `table[i][j]` not None for
-    one i, the permutation that swaps its first two members and the one
-    that cycles it, each fixing every other index (both the identity,
-    for a class of one).  A transposition and a cycle generate the
-    symmetric group of their class."""
-    classes = dict.fromkeys(
+def _transfer_classes(table):
+    """The classes of the `transfer` relation on v's elements, as index
+    tuples in order of their least members: the distinct rows of the
+    piece table, row i holding the j with a piece from element i to
+    element j.  InputError unless each row holds its own index and the
+    distinct rows partition range(k), that is, unless the relation is an
+    equivalence."""
+    rows = [
         tuple(j for j, piece in enumerate(row) if piece is not None)
         for row in table
-    )
+    ]
+    classes = tuple(dict.fromkeys(rows))
+    reflexive = all(i in row for i, row in enumerate(rows))
+    if not reflexive or sum(map(len, classes)) != len(rows):
+        raise InputError("transfer is not an equivalence on the elements")
+    return classes
+
+
+def _class_generators(classes):
+    """For each class, the permutation of range(k) that swaps its first
+    two members and the one that cycles it, each fixing every other
+    index, with duplicates and the identity dropped: one for a class of
+    two, none for a class of one.  A transposition and a cycle generate
+    the symmetric group of their class."""
+    k = sum(map(len, classes))
+    perms = {}
     for members in classes:
-        swap = members[1::-1] + members[2:]
-        for images in (swap, members[1:] + members[:1]):
-            perm = list(range(len(table)))
+        swap, cycle = members[1::-1] + members[2:], members[1:] + members[:1]
+        for images in (swap, cycle):
+            perm = list(range(k))
             for j, image in zip(members, images):
                 perm[j] = image
-            yield tuple(perm)
-
-
-def _check_closed(group, identity, first=()):
-    """Raise InputError unless `group` is closed under inversion and
-    composition.
-
-    Inversion is checked element by element.  For composition, the
-    entries of `first` that lie in `group`, then the elements of
-    `group`, are walked in order, and one not yet in the span of the
-    generators taken so far becomes a generator; each product formed
-    must lie in the group.  The span starts as the identity and stays closed
-    under right multiplication by every generator: when t joins, each
-    old member is multiplied by t, and each new member by every
-    generator, until none is new.  An old member times an old generator
-    was formed before, so the span is closed again: it is the span of
-    the generators.  At the end every element lies in the span.  For a
-    generator t, t^-1 is a member and so lies in the span, and the
-    product t^-1 * t is formed: the identity is a member too.  So each
-    h in the group is a product of generators t1...tm, and
-    g*h = (...(g*t1)...)*tm stays in the group.  Nothing here used the
-    order of the walk, only that every generator is drawn from the
-    group: so the verdict depends on `group` alone, and any such
-    generating set proves what checking all |G|^2 products proves, with
-    |G| products per generator.
-
-    Elements are compared as values, and the span is a dict, so the
-    products are formed in insertion order whatever the hash seed.
-    """
-    members = set(group)
-    for g in group:
-        if g.inverse() not in members:
-            raise InputError("stabilizer not closed under inversion")
-    generators = []
-    span = {identity: None}
-    for g in itertools.chain([t for t in first if t in members], group):
-        if g in span:
-            continue
-        generators.append(g)
-        frontier, factors = list(span), [g]
-        while frontier:
-            grown = []
-            for s in frontier:
-                for t in factors:
-                    st = s * t
-                    if st not in members:
-                        raise InputError(
-                            "stabilizer not closed under composition"
-                        )
-                    if st not in span:
-                        span[st] = None
-                        grown.append(st)
-            frontier, factors = grown, generators
+            perms[tuple(perm)] = None
+    perms.pop(tuple(range(k)), None)
+    return list(perms)
 
 
 # -- exports ----------------------------------------------------------------

@@ -295,11 +295,15 @@ def brute_stabilizer(system, v):
             if system.act_vertex(g, v) == v:
                 found[g.key()] = g
     group = [found[k] for k in sorted(found)]
-    members = set(found)
-    for g in group:
-        if g.inverse().key() not in members:
-            raise InputError("stabilizer not closed under inversion")
-        for h in group:
-            if (g * h).key() not in members:
-                raise InputError("stabilizer not closed under composition")
+    check_closed(group)
     return group
+
+
+def check_closed(group):
+    """Raise InputError unless `group` holds the inverse of each of its
+    elements and all |G|^2 products of its elements, compared by key."""
+    members = {g.key() for g in group}
+    if any(g.inverse().key() not in members for g in group):
+        raise InputError("stabilizer not closed under inversion")
+    if any((g * h).key() not in members for g in group for h in group):
+        raise InputError("stabilizer not closed under composition")

@@ -256,7 +256,8 @@ def test_commands_reject_mixed_instances(
         paths.append(write(tmp_path, name, obj))
     code, _, err = run(capsys, command, *paths)
     assert code == 2
-    assert "different instances" in err
+    what = {"intersect": "cubes", "join": "vertices"}[command]
+    assert err == f"error: {what} belong to different instances\n"
 
 
 def test_act_rejects_non_bijection_table(tmp_path, capsys):

@@ -35,10 +35,10 @@ from cubex import (
 from cubex import core, cubical, houghton, thompson
 from cubex.core import AscendingPath
 from cubex.cubical import (
-    _admissible,
-    _check_closed,
+    _class_generators,
     _cliques,
     _disjoint_pairs,
+    _transfer_classes,
 )
 from cubex.oracle import (
     brute_corners,
@@ -47,6 +47,7 @@ from cubex.oracle import (
     brute_neighbors,
     brute_square_test,
     brute_stabilizer,
+    check_closed,
     random_cube_at,
     random_vertex,
     rng_from_seed,
@@ -1042,15 +1043,14 @@ def test_stabilizer_matches_brute(system, seed):
     ids=["v", "houghton2"],
 )
 def test_stabilizer_keeps_every_check(system, height, tiling, monkeypatch):
-    # Every admissible permutation is assembled and tiling-checked on
-    # both sides, every element is acted on at each of v's k elements,
-    # and the closure walk inverts each element once and forms two
-    # products per element: the class generators span the group.
+    # The checks of the span design: each class generator is assembled
+    # once, with its tiling checked on both sides, and acted on at each
+    # of v's k elements.  The span forms |G| products per generator and
+    # inverts nothing; the order check makes no group operation.
     v = random_vertex(system, rng_from_seed(7), height)
     els = list(v)
-    admissible = len(
-        list(_admissible([[system.transfer(a, b) for b in els] for a in els]))
-    )
+    table = [[system.transfer(a, b) for b in els] for a in els]
+    generators = len(_class_generators(_transfer_classes(table)))
     counts = collections.Counter()
 
     def count(owner, name):
@@ -1072,16 +1072,124 @@ def test_stabilizer_keeps_every_check(system, height, tiling, monkeypatch):
     ):
         count(owner, name)
     order = len(CubeComplex(system).stabilizer(v))
-    assert order == admissible == 24
+    assert (order, generators) == (24, 2)
+    # No "inverse" key: `inverse` was never called.
     assert counts == {
-        "assemble": order,
-        tiling[1]: 2 * order,
-        "act": len(els) * order,
-        "__mul__": 2 * order,
-        "inverse": order,
+        "assemble": generators,
+        tiling[1]: 2 * generators,
+        "act": len(els) * generators,
+        "__mul__": order * generators,
     }
 
 
+def class_sizes(system, v):
+    """The sizes of the classes of v's elements under "transfer(a, b) is
+    not None", each element grouped with the elements related to it."""
+    related = collections.Counter(
+        frozenset(b for b in v if system.transfer(a, b) is not None)
+        for a in v
+    )
+    return list(related.values())
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@BUILT_SYSTEMS
+def test_transfer_relation_is_an_equivalence(system, seed):
+    # Elements of seeded vertices of several heights, so that pairs
+    # within one vertex and across vertices both occur.
+    pool = list(
+        dict.fromkeys(
+            b for v in seeded_vertices(system, seed, 12, 6) for b in v
+        )
+    )
+    related = [[system.transfer(a, b) is not None for b in pool] for a in pool]
+    n = len(pool)
+    assert n >= 20 and sum(map(sum, related)) > n, n
+    for i in range(n):
+        assert related[i][i]
+        for j in range(n):
+            assert related[i][j] == related[j][i], (pool[i], pool[j])
+            if related[i][j]:
+                # Transitive: whatever j reaches, i reaches too.
+                assert all(
+                    related[i][m] for m in range(n) if related[j][m]
+                ), (pool[i], pool[j])
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@BUILT_SYSTEMS
+def test_transfer_classes_are_the_row_patterns(system, seed):
+    for v in seeded_vertices(system, seed, 12, 5):
+        els = list(v)
+        table = [[system.transfer(a, b) for b in els] for a in els]
+        patterns = [
+            tuple(j for j, piece in enumerate(row) if piece is not None)
+            for row in table
+        ]
+        classes = _transfer_classes(table)
+        assert sorted(classes) == sorted(set(patterns))
+        assert list(classes) == sorted(classes, key=min)
+        for i, pattern in enumerate(patterns):
+            assert pattern == next(c for c in classes if i in c)
+        assert sorted(map(len, classes)) == sorted(class_sizes(system, v))
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@BUILT_SYSTEMS
+def test_stabilizer_order_is_the_product_of_class_factorials(system, seed):
+    rng = rng_from_seed(seed)
+    complex_ = CubeComplex(system)
+    low = system.base_vertex().height
+    top = 7 if system.name == "v" else low + 5
+    for h in range(low, top + 1):
+        v = random_vertex(system, rng, h)
+        order = math.prod(map(math.factorial, class_sizes(system, v)))
+        assert len(complex_.stabilizer(v)) == order, h
+
+
+def first_related_pair(system, v):
+    return next(
+        (a, b)
+        for a, b in itertools.combinations(v, 2)
+        if system.transfer(a, b) is not None
+    )
+
+
+@BUILT_SYSTEMS
+def test_stabilizer_rejects_a_transfer_that_is_not_symmetric(
+    system, monkeypatch
+):
+    v = random_vertex(system, rng_from_seed(7), system.base_vertex().height + 3)
+    a, b = first_related_pair(system, v)
+    real = system.transfer
+    monkeypatch.setattr(
+        system,
+        "transfer",
+        lambda x, y: None if (x, y) == (b, a) else real(x, y),
+    )
+    with pytest.raises(InputError, match="not an equivalence"):
+        CubeComplex(system).stabilizer(v)
+
+
+@BUILT_SYSTEMS
+def test_stabilizer_rejects_a_generator_that_moves_the_vertex(
+    system, monkeypatch
+):
+    v = random_vertex(system, rng_from_seed(7), system.base_vertex().height + 3)
+    moved, _ = first_related_pair(system, v)
+    outside = next(kid for b in v if b.children() for kid in b.children())
+    assert outside not in v
+    real = system.act
+    monkeypatch.setattr(
+        system, "act", lambda g, b: outside if b == moved else real(g, b)
+    )
+    with pytest.raises(InputError, match="does not fix the vertex"):
+        CubeComplex(system).stabilizer(v)
+
+
+# The engine's stabilizer is closed by construction, so the one closure
+# check left is the reference's: `oracle.check_closed`, which
+# `brute_stabilizer` runs on all |G|^2 products.
 CLOSURE_CASES = pytest.mark.parametrize(
     "case, message",
     [
@@ -1100,9 +1208,7 @@ def assert_closure_check_rejects(system, v, swap, case, message):
     involution outside it."""
     stab = CubeComplex(system).stabilizer(v)
     identity = system.identity()
-    _check_closed(stab, identity)
-    # A non-member among the elements walked first is ignored.
-    _check_closed(stab, identity, [swap])
+    check_closed(stab)
     involution = next(g for g in stab if g != identity and g * g == identity)
     three_cycle = next(g for g in stab if g * g != identity)
     dropped = {
@@ -1114,11 +1220,10 @@ def assert_closure_check_rejects(system, v, swap, case, message):
     broken = [g for g in stab if g != dropped]
     if case == "swap-in-non-member":
         assert swap == swap.inverse() and swap not in stab
-        broken = sorted(broken + [swap], key=type(swap).key)
+        broken.append(swap)
     assert len(broken) == 6 - (case != "swap-in-non-member")
-    for first in ((), [swap], [swap, *reversed(broken)]):
-        with pytest.raises(InputError, match=f"not closed under {message}"):
-            _check_closed(broken, identity, first)
+    with pytest.raises(InputError, match=f"not closed under {message}"):
+        check_closed(broken)
 
 
 @CLOSURE_CASES
@@ -1138,84 +1243,6 @@ def test_closure_check_raises_on_houghton_sets_that_are_not_closed(
     assert_closure_check_rejects(system, v, swap, case, message)
 
 
-def reference_check_closed(group, identity):
-    """`_check_closed` as it was: the span regrown from the identity by
-    every generator each time one is taken."""
-    members = {g.key() for g in group}
-    for g in group:
-        if g.inverse().key() not in members:
-            raise InputError("stabilizer not closed under inversion")
-    generators = []
-    span = {identity.key()}
-    for g in group:
-        if g.key() in span:
-            continue
-        generators.append(g)
-        span = {identity.key()}
-        frontier = [identity]
-        while frontier:
-            grown = []
-            for s in frontier:
-                for t in generators:
-                    st = s * t
-                    if st.key() not in members:
-                        raise InputError(
-                            "stabilizer not closed under composition"
-                        )
-                    if st.key() not in span:
-                        span.add(st.key())
-                        grown.append(st)
-            frontier = grown
-
-
-def closure_verdict(check, group, identity, *first):
-    try:
-        check(group, identity, *first)
-    except InputError as err:
-        return str(err)
-    return None
-
-
-@pytest.mark.parametrize("seed", [7, 1009])
-@pytest.mark.parametrize(
-    "system",
-    [VSystem(), HoughtonSystem(2), HoughtonSystem(3)],
-    ids=["v", "houghton2", "houghton3"],
-)
-def test_incremental_closure_check_matches_the_regrown_span(system, seed):
-    # Whole stabilizers, and the same with one element dropped or one
-    # element of another vertex's stabilizer swapped in.  The elements
-    # walked first, all of the group or some of it in shuffled order,
-    # do not change the verdict.
-    rng = rng_from_seed(seed)
-    shuffler = random.Random(seed)
-    complex_ = CubeComplex(system)
-    identity = system.identity()
-    verdicts = set()
-    low = system.base_vertex().height
-    for h in range(low + 1, low + 5):
-        stab = complex_.stabilizer(random_vertex(system, rng, h))
-        other = complex_.stabilizer(random_vertex(system, rng, h))
-        for _ in range(4):
-            i = rng.randrange(len(stab))
-            for group in (
-                stab,
-                stab[:i] + stab[i + 1:],
-                sorted(
-                    stab[:i] + [rng.choice(other)] + stab[i + 1:],
-                    key=type(identity).key,
-                ),
-            ):
-                want = closure_verdict(reference_check_closed, group, identity)
-                assert closure_verdict(_check_closed, group, identity) == want
-                for size in (len(group), shuffler.randint(0, len(group))):
-                    first = shuffler.sample(group, size)
-                    got = closure_verdict(_check_closed, group, identity, first)
-                    assert got == want, first
-                verdicts.add(want)
-    assert len(verdicts) == 3, verdicts
-
-
 def test_stabilizer_cap():
     v = random_vertex(vs, rng_from_seed(7), 9)
     with pytest.raises(CapExceeded) as err:
@@ -1224,6 +1251,24 @@ def test_stabilizer_cap():
     assert len(partial) == 5
     assert [g.key() for g in partial] == sorted(g.key() for g in partial)
     assert all(vs.act_vertex(g, v) == v for g in partial)
+
+
+@BUILT_SYSTEMS
+def test_stabilizer_cap_bounds_the_span_exactly(system):
+    # Raised iff the order exceeds the cap, with exactly `cap` elements:
+    # none at cap 0, even for the trivial group of the base vertex.
+    complex_ = CubeComplex(system)
+    v = random_vertex(system, rng_from_seed(7), system.base_vertex().height + 3)
+    order = len(complex_.stabilizer(v))
+    for w, cap in ((system.base_vertex(), 0), (v, 0), (v, order - 1)):
+        with pytest.raises(CapExceeded) as err:
+            complex_.stabilizer(w, cap=cap)
+        partial = err.value.partial
+        assert len(partial) == cap
+        assert [g.key() for g in partial] == sorted(g.key() for g in partial)
+        assert all(system.act_vertex(g, w) == w for g in partial)
+    assert len(complex_.stabilizer(v, cap=order)) == order
+    assert len(complex_.stabilizer(system.base_vertex(), cap=1)) == 1
 
 
 def test_seed_validation():

@@ -71,7 +71,7 @@ from cubex import (
 )
 from cubex import thompson
 from cubex.core import _reached
-from cubex.cubical import Cube, _admissible, vertex_on_set
+from cubex.cubical import Cube, vertex_on_set
 from cubex.houghton import CrossBranchTail, HPiece, SparseRegion
 from cubex.oracle import (
     brute_corners,
@@ -781,7 +781,12 @@ def assemble_cases(system, seed):
         other = [piece for piece in other if piece is not None]
         for kind, target in (("whole", v), ("onto", u)):
             table = [[system.transfer(a, b) for b in target] for a in v]
-            for perm in itertools.islice(_admissible(table), 30):
+            admissible = (
+                perm
+                for perm in itertools.permutations(range(len(table)))
+                if all(row[j] is not None for row, j in zip(table, perm))
+            )
+            for perm in itertools.islice(admissible, 30):
                 pieces = [row[j] for row, j in zip(table, perm)]
                 yield kind, pieces
                 yield from broken_sets(rng, pieces, other)
