@@ -188,26 +188,6 @@ def _disjoint_pairs(moves):
     )
 
 
-def _cliques(n, pairs, max_size):
-    """Index tuples of the cliques, up to max_size, of the graph on
-    range(n) whose edges are the pairs i < j in `pairs`, in depth-first
-    order from the empty clique.  A clique's candidates are the later
-    indices adjacent to all its members, so each extension only filters
-    its parent's list."""
-
-    def extend(clique, candidates):
-        yield tuple(clique)
-        if len(clique) < max_size:
-            for i in candidates:
-                clique.append(i)
-                yield from extend(
-                    clique, [j for j in candidates if (i, j) in pairs]
-                )
-                clique.pop()
-
-    return extend([], range(n))
-
-
 def _target_key(m):
     return m.target.key()
 
@@ -217,32 +197,44 @@ def _neighbor(v, m):
     return _vertex_unchecked(_reached(v, m.basin, m.gain))
 
 
-def _clique_cubes(v, moves, neighbors=()):
-    """A function from a clique, a sequence of indices into `moves`, to
-    the cube its moves span at v.  The base is v after the clique's
-    contractions, and each distinct set of them is built into a base
-    once; with none, the base is v itself.  `neighbors`, if given, are
-    the vertices the moves reach from v, so those of the contractions
-    are the bases of their one-move cliques.  A clique's moves must be
-    moves at v with pairwise disjoint basins, as the link's cliques are.
-    Only the contractions' basins are checked here (MoveNotApplicable if
-    v lacks one or two overlap), so a caller with other cliques checks
-    every basin first, as `cube_from_moves` does."""
-    bases = {(): v}
-    for i, w in enumerate(neighbors):
-        if moves[i].kind == "contract":
-            bases[(i,)] = w
+def _clique_cubes(v, moves, pairs, max_size, neighbors=()):
+    """(clique, cube) for each clique, up to max_size, of the graph on
+    the indices of `moves` whose edges are the pairs i < j in `pairs`, in
+    depth-first order from the empty clique: the clique as an index
+    tuple, and the cube its moves span at v.  A clique's candidates are
+    the later indices adjacent to all its members, so each extension
+    only filters its parent's list.
 
-    def cube(clique):
-        down = tuple(i for i in clique if moves[i].kind == "contract")
-        if down not in bases:
-            out = [b for i in down for b in moves[i].basin]
-            into = [moves[i].target for i in down]
-            bases[down] = _vertex_unchecked(_reached(v, out, into))
+    A clique's base is v after its contractions, so it is its parent's
+    base, after one contraction when the index just added is one:
+    `_neighbor`, or `neighbors[i]` (the vertex move i reaches from v, if
+    given) when no contraction precedes it.  With the moves in
+    `moves_at` order, contractions first, every clique lists its
+    contractions first, so each set of them is built into a base once;
+    in any other order, the bases are still right but may be built
+    again.  The walk trusts `pairs` to join only moves at v with
+    disjoint basins, as the link's edges do: only each contraction's
+    basin is checked, in its parent's base (MoveNotApplicable if it is
+    missing), so a caller with other cliques checks every basin first,
+    as `cube_from_moves` does."""
+
+    def extend(clique, candidates, base):
         active = _in_key_order(moves[i].target for i in clique)
-        return Cube(bases[down], active)
+        yield tuple(clique), Cube(base, active)
+        if len(clique) < max_size:
+            for i in candidates:
+                if moves[i].kind != "contract":
+                    down = base
+                elif neighbors and base is v:
+                    down = neighbors[i]
+                else:
+                    down = _neighbor(base, moves[i])
+                later = [j for j in candidates if (i, j) in pairs]
+                clique.append(i)
+                yield from extend(clique, later, down)
+                clique.pop()
 
-    return cube
+    return extend([], range(len(moves)), v)
 
 
 @dataclass(unsafe_hash=True)
@@ -307,21 +299,32 @@ class CubeComplex:
 
     def cube_from_moves(self, v, moves):
         """The cube spanned at v by moves with pairwise disjoint basins;
-        MoveNotApplicable unless v holds each basin and none overlap."""
+        MoveNotApplicable unless v holds each basin and none overlap.
+
+        That one check of every basin lets the walk take all the moves as
+        one clique, the first of its size it reaches: with the moves in
+        `moves_at` order, each base on the way is built once, from its
+        parent by one contraction; in any other order, the cube is the
+        same but a base may be built again."""
         _reached(v, [b for m in moves for b in m.basin], ())
-        return _clique_cubes(v, moves)(range(len(moves)))
+        n = len(moves)
+        every = frozenset(itertools.combinations(range(n), 2))
+        walk = _clique_cubes(v, moves, every, n)
+        return next(cube for clique, cube in walk if len(clique) == n)
 
     def cubes_at(self, v, max_dim):
-        """One cube per clique of disjoint-basin moves at v, up to max_dim.
+        """One cube per clique of disjoint-basin moves at v, up to max_dim,
+        in the walk's depth-first order (`_clique_cubes`).  The moves are
+        in `moves_at` order, so each set of contractions is built into a
+        base once.
 
         Every returned cube contains v; the empty clique contributes the
         0-cube at v, and the all-expansions clique realizes the maximal
         cube of the ascending star.
         """
         moves = self.moves_at(v)
-        cube = _clique_cubes(v, moves)
-        cliques = _cliques(len(moves), _disjoint_pairs(moves), max_dim)
-        return [cube(clique) for clique in cliques]
+        walk = _clique_cubes(v, moves, _disjoint_pairs(moves), max_dim)
+        return [cube for clique, cube in walk]
 
     # -- link and flag condition ---------------------------------------------
 
@@ -339,19 +342,23 @@ class CubeComplex:
         Every clique in the link must span a cube containing v and all of
         the clique's neighbor vertices, and adjacency must coincide with
         the existence of a 2-cube through v and both neighbors.
+
+        The cliques and their cubes come from one walk of the link
+        (`_clique_cubes`), its nodes in `moves_at` order: each set of two
+        or more contractions is built into a base once, and a single
+        contraction's base is its link neighbour, built by `link_graph`.
         """
         lg = self.link_graph(v)
-        cube_of = _clique_cubes(v, lg.nodes, lg.neighbors)
+        walk = _clique_cubes(v, lg.nodes, lg.edges, max_clique, lg.neighbors)
         failures = []
         checked = 0
         squares = set()
-        for clique in _cliques(len(lg.nodes), lg.edges, max_clique):
+        for clique, cube in walk:
             if not clique:
                 continue
             checked += 1
             moves = [lg.nodes[i] for i in clique]
             try:
-                cube = cube_of(clique)
                 ok = vertex_in_cube(cube, v) and all(
                     vertex_in_cube(cube, lg.neighbors[i]) for i in clique
                 )

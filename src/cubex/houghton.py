@@ -277,7 +277,13 @@ class HGroupElement:
 
     @classmethod
     def make(cls, n, offsets, exceptions):
-        offsets = tuple(int(t) for t in offsets)
+        """The element, checked: one offset per branch, each an `int`
+        (a `bool` or a float is not, as for `check_point`), exceptions
+        between points of the n branches, none mapped twice, and the
+        map a bijection."""
+        if not all(type(t) is int for t in offsets):
+            raise InputError(f"offsets must be a list of ints: {offsets!r}")
+        offsets = tuple(offsets)
         if len(offsets) != n:
             raise InputError("need one offset per branch")
         exc = {}
@@ -612,9 +618,7 @@ class HoughtonSystem(ExpansionSystem):
         if not isinstance(obj, dict):
             raise InputError(f"group literal must be an object: {obj!r}")
         offsets = obj.get("offsets", [0] * self.n)
-        if not isinstance(offsets, list) or not all(
-            type(t) is int for t in offsets
-        ):
+        if not isinstance(offsets, list):  # `make` checks each offset
             raise InputError(f"offsets must be a list of ints: {offsets!r}")
         exceptions = obj.get("exceptions", [])
         if not isinstance(exceptions, list) or not all(

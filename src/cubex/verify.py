@@ -20,8 +20,8 @@ from .cubical import (
     cube_vertices,
     intersection_lemma_check,
 )
-from .houghton import HoughtonSystem, HPointClass, HRayClass
-from .thompson import VElement, VSystem
+from .houghton import HoughtonSystem, canonicalize_ray
+from .thompson import VElement, VSystem, canonicalize
 
 
 @dataclass(unsafe_hash=True)
@@ -180,6 +180,7 @@ CUBE_MAX_DIM = 4
 def check_cube_intersections(seed=0, samples=200):
     failures = []
     for system in (VSystem(), HoughtonSystem(2)):
+        cx = CubeComplex(system)
         rng = oracle.rng_from_seed(seed + (0 if system.name == "v" else 1))
         base_height = system.base_vertex().height
         for i in range(samples // 2):
@@ -195,7 +196,6 @@ def check_cube_intersections(seed=0, samples=200):
             if got_set != want or not want:
                 failures.append((system.name, i, "vertex-set mismatch"))
                 continue
-            cx = CubeComplex(system)
             if got not in cx.cubes_at(got.base, got.dim):
                 failures.append((system.name, i, "not listed at its base"))
                 continue
@@ -348,11 +348,7 @@ def _check_action_axioms(system, seed, samples):
 
 
 def check_canonical_soundness(seed=0, samples=1000):
-    from .houghton import canonicalize_ray
-    from .thompson import canonicalize
-
     failures = []
-    vs = VSystem()
     rng = oracle.rng_from_seed(seed)
     for i in range(samples):
         b = oracle.random_v_element(rng, 3)
@@ -360,7 +356,6 @@ def check_canonical_soundness(seed=0, samples=1000):
         raw = [(w1 + d, g) for d, g in b.table]
         if canonicalize(raw, w1) != b:
             failures.append(("v", i))
-    hs = HoughtonSystem(2)
     rng = oracle.rng_from_seed(seed)
     for i in range(samples):
         r = oracle.random_h_ray(rng, 2)

@@ -331,6 +331,12 @@ def houghton2(*elements):
         houghton2(ray(1, [True, 1]), ray(2, 1)),
         houghton2(dict(ray(1, 1), start=True), ray(2, 1)),
         houghton2(dict(ray(1, 2), exceptions=[[True, 1]]), ray(2, 1)),
+        houghton2(ray(1, [1, 2, 3]), ray(2, 1)),
+        houghton2(dict(ray(1, 1), exceptions=5), ray(2, 1)),
+        houghton2("x"),
+        {"instance": "v", "elements": [{"domain": ""}]},
+        {"instance": "v", "elements": ["00-1"]},
+        {"instance": "v", "elements": 5},
     ],
     ids=[
         "ray-without-tail",
@@ -344,6 +350,12 @@ def houghton2(*elements):
         "bool-ray-tail-branch",
         "bool-ray-start",
         "bool-ray-exception",
+        "three-item-tail",
+        "int-exceptions",
+        "string-element",
+        "v-object-without-table",
+        "entry-without-arrow",
+        "int-elements",
     ],
 )
 def test_malformed_element_literal_is_input_error(tmp_path, capsys, vertex):
@@ -360,6 +372,12 @@ def test_malformed_element_literal_is_input_error(tmp_path, capsys, vertex):
         {"offsets": [1000000000, 0]},
         {"offsets": [0, 0], "exceptions": [[[1, True], [1, 1]]]},
         {"offsets": [0, 0], "exceptions": [[[1, 1], [True, 1]]]},
+        {"offsets": [0]},
+        {"offsets": [0, 0], "exceptions": [[[3, 1], [1, 1]]]},
+        {
+            "offsets": [0, 0],
+            "exceptions": [[[1, 1], [1, 2]], [[1, 1], [1, 3]]],
+        },
     ],
     ids=[
         "list",
@@ -368,6 +386,9 @@ def test_malformed_element_literal_is_input_error(tmp_path, capsys, vertex):
         "huge-offset",
         "bool-domain-point",
         "bool-image-point",
+        "one-offset",
+        "branch-out-of-range",
+        "point-mapped-twice",
     ],
 )
 def test_malformed_houghton_group_literal_is_input_error(
@@ -387,6 +408,31 @@ def test_malformed_houghton_group_literal_is_input_error(
         },
     )
     assert_input_error(*run(capsys, "act", g, v))
+
+
+def test_v_group_object_without_table_is_input_error(tmp_path, capsys):
+    g = write(tmp_path, "g.json", {"domain": ""})
+    v = write(tmp_path, "v.json", {"instance": "v", "elements": [[["", ""]]]})
+    code, out, err = run(capsys, "act", g, v)
+    assert_input_error(code, out, err)
+    assert "needs a 'table' field" in err
+
+
+def test_cube_with_an_active_point_is_input_error(tmp_path, capsys):
+    # A point has no children, so it cannot be a cube's active element.
+    cube = write(
+        tmp_path,
+        "cube.json",
+        {
+            "instance": "houghton",
+            "n": 2,
+            "base": [[1, 1], ray(1, 2), ray(2, 1)],
+            "active": [[1, 1]],
+        },
+    )
+    code, out, err = run(capsys, "intersect", cube, cube)
+    assert_input_error(code, out, err)
+    assert "admits no expansion" in err
 
 
 @pytest.mark.parametrize(

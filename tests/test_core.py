@@ -5,6 +5,7 @@ import pytest
 from cubex import (
     DuplicateElement,
     HoughtonSystem,
+    InputError,
     Move,
     MoveNotApplicable,
     OverlappingSupports,
@@ -15,6 +16,7 @@ from cubex import (
     glue,
     validate_vertex,
 )
+from cubex.core import AscendingPath
 from cubex.oracle import random_vertex, rng_from_seed
 from cubex.thompson import BallRegion
 
@@ -159,3 +161,27 @@ def test_basin_of_moves():
     w = apply_move(v, c)
     assert w.as_set() is w.as_set()
     assert w.as_set() == frozenset(w.elements)
+
+
+def test_ascending_path_check_rejects_each_bad_step():
+    halves = validate_vertex([ball("0"), ball("1")])
+    up = Move.expand(ball("0"))
+    quarters = apply_move(halves, up)
+    assert AscendingPath((halves, quarters), (up,)).check()
+    # One vertex short of the moves.
+    assert not AscendingPath((halves,), (up,)).check()
+    # A contraction, though it reaches the next vertex.
+    down = Move.contract(ball("0"))
+    assert not AscendingPath((quarters, halves), (down,)).check()
+    # An expansion that reaches another vertex.
+    other = apply_move(halves, Move.expand(ball("1")))
+    assert not AscendingPath((halves, other), (up,)).check()
+
+
+def test_ascending_paths_concatenate_only_end_to_start():
+    halves = validate_vertex([ball("0"), ball("1")])
+    up = Move.expand(ball("0"))
+    path = AscendingPath((halves, apply_move(halves, up)), (up,))
+    with pytest.raises(InputError, match="paths do not concatenate"):
+        path + path
+    assert path + AscendingPath((path.end,), ()) == path

@@ -36,7 +36,7 @@ from cubex import core, cubical, houghton, thompson
 from cubex.core import AscendingPath
 from cubex.cubical import (
     _class_generators,
-    _cliques,
+    _clique_cubes,
     _disjoint_pairs,
     _transfer_classes,
 )
@@ -403,8 +403,8 @@ def reference_pairs(moves):
 
 
 def reference_cliques(moves, max_size):
-    """`_cliques` as it was: each candidate tested against every member of
-    the clique, with no table of pairs."""
+    """The cliques of the link as first enumerated: each candidate tested
+    against every member of the clique, with no table of pairs."""
 
     def extend(clique, start):
         yield tuple(clique)
@@ -602,15 +602,10 @@ def test_cube_bases_match_the_apply_move_chain(system, seed, monkeypatch):
     built = []
     real = cubical._clique_cubes
 
-    def recording(v, moves, *neighbors):
-        cube_of = real(v, moves, *neighbors)
-
-        def record(clique):
-            cube = cube_of(clique)
+    def recording(v, moves, *rest):
+        for clique, cube in real(v, moves, *rest):
             built.append((v, [moves[i] for i in clique], cube))
-            return cube
-
-        return record
+            yield clique, cube
 
     monkeypatch.setattr(cubical, "_clique_cubes", recording)
     for v in seeded_vertices(system, seed, 12, 4):
@@ -620,9 +615,13 @@ def test_cube_bases_match_the_apply_move_chain(system, seed, monkeypatch):
             for clique in reference_cliques(moves, 3)
         ]
         assert sx.check_flag(v, 3).passed
+    monkeypatch.undo()
+    rng = rng_from_seed(seed)
     for v, moves, cube in built:
         assert cube == reference_cube_from_moves(v, moves)
         assert keeps_its_set(cube.base)
+        # In any order, the walk's base chain spans the same cube.
+        assert sx.cube_from_moves(v, rng.sample(moves, len(moves))) == cube
     assert sum(cube.base != v for v, _, cube in built) > 100
 
 
@@ -647,7 +646,7 @@ def test_cliques_match_the_all_pairs_walk(system, seed):
         moves = sx.moves_at(v)
         pairs = _disjoint_pairs(moves)
         for k in range(1, 7):
-            got = list(_cliques(len(moves), pairs, k))
+            got = [clique for clique, _ in _clique_cubes(v, moves, pairs, k)]
             assert got == list(reference_cliques(moves, k)), (v, k)
             sizes.update(len(c) for c in got)
     # On houghton every basin holds a branch's ray, so a clique has at
@@ -672,64 +671,6 @@ def test_cube_from_moves_rejects_basins_outside_or_overlapping():
         for build in (cx.cube_from_moves, reference_cube_from_moves):
             with pytest.raises(MoveNotApplicable):
                 build(quarters, list(pair))
-
-
-def test_check_flag_counts_an_unbuildable_clique_as_a_failure(monkeypatch):
-    # Every pair of moves is offered as a clique; those with overlapping
-    # basins, and only those, must fail.
-    def every_pair(n, pairs, max_size):
-        for k in range(3):
-            yield from itertools.combinations(range(n), k)
-
-    # Where each failure is caught: two contractions whose basins
-    # overlap when their base is built, an expansion whose target lies in
-    # a contraction's basin only later, by the corner check of
-    # `vertex_in_cube` (`_clique_cubes` checks contraction basins alone).
-    caught = {}
-    clique_of = {}
-    real_clique_cubes, real_corner = cubical._clique_cubes, cubical._corner
-
-    def clique_cubes(v, moves, neighbors=()):
-        cube_of = real_clique_cubes(v, moves, neighbors)
-
-        def built(clique):
-            try:
-                cube = cube_of(clique)
-            except InputError:
-                caught[clique] = "base"
-                raise
-            clique_of[cube] = clique
-            return cube
-
-        return built
-
-    def corner(c, on):
-        try:
-            return real_corner(c, on)
-        except InputError:
-            caught[clique_of[c]] = "corner"
-            raise
-
-    monkeypatch.setattr(cubical, "_cliques", every_pair)
-    monkeypatch.setattr(cubical, "_clique_cubes", clique_cubes)
-    monkeypatch.setattr(cubical, "_corner", corner)
-    quarters = validate_vertex([ball(w) for w in ("00", "01", "10", "11")])
-    lg = cx.link_graph(quarters)
-    rep = cx.check_flag(quarters, 2)
-    assert rep.failures == tuple(
-        (lg.nodes[i], lg.nodes[j])
-        for i, j in itertools.combinations(range(len(lg.nodes)), 2)
-        if (i, j) not in lg.edges
-    )
-    assert any(a.kind == b.kind == "contract" for a, b in rep.failures)
-    assert not rep.square_mismatches
-    assert {tuple(lg.nodes[i] for i in k) for k in caught} == set(
-        rep.failures
-    )
-    for clique, where in caught.items():
-        kinds = {lg.nodes[i].kind for i in clique}
-        assert where == ("base" if kinds == {"contract"} else "corner")
-    assert "corner" in caught.values()
 
 
 def count_checked_builds(monkeypatch):
@@ -786,29 +727,31 @@ def test_join_targets_match_validate_vertex(system, seed):
 
 def flag_reports_and_builds(monkeypatch, vertices, share):
     """`check_flag` on each (complex, vertex), with the link's neighbours
-    passed to `_clique_cubes` or held back, and the builds of cube bases:
-    the `_reached` calls made while a clique's cube is built, each
-    recorded by the number of contractions it undoes."""
+    passed to `_clique_cubes` or held back, and the cube bases the walk
+    builds: the vertex each `_reached` call made while it advances
+    reaches."""
     real_reached, real_cubes = cubical._reached, cubical._clique_cubes
     builds = []
     inside = []
 
     def reached(v, out, into):
+        got = real_reached(v, out, into)
         if inside:
-            builds.append(len(into))
-        return real_reached(v, out, into)
+            builds.append(got)
+        return got
 
-    def cubes(v, moves, neighbors=()):
-        cube_of = real_cubes(v, moves, neighbors if share else ())
-
-        def cube(clique):
-            inside.append(clique)
+    def cubes(v, moves, pairs, max_size, neighbors=()):
+        given = neighbors if share else ()
+        walk = real_cubes(v, moves, pairs, max_size, given)
+        while True:
+            inside.append(v)
             try:
-                return cube_of(clique)
+                item = next(walk, None)
             finally:
                 inside.pop()
-
-        return cube
+            if item is None:
+                return
+            yield item
 
     with monkeypatch.context() as patch:
         patch.setattr(cubical, "_reached", reached)
@@ -817,9 +760,24 @@ def flag_reports_and_builds(monkeypatch, vertices, share):
     return reports, builds
 
 
+def contraction_bases(vertices, least):
+    """The bases of the cliques of `least` or more contractions, up to 3,
+    in walk order, each built by the chain of checked moves."""
+    return [
+        reference_cube_from_moves(v, [moves[i] for i in clique]).base.as_set()
+        for sx, v in vertices
+        for moves in [sx.moves_at(v)]
+        for clique in reference_cliques(moves, 3)
+        if len(clique) >= least
+        and all(moves[i].kind == "contract" for i in clique)
+    ]
+
+
 def test_check_flag_builds_each_neighbour_once(monkeypatch):
-    # 100 seed-7 height-3 `v` and 100 height-4 `houghton` n=2 vertices:
-    # each contraction's neighbour was built again as its one-move base.
+    # 100 seed-7 height-3 `v` and 100 height-4 `houghton` n=2 vertices.
+    # The walk builds each set of two or more contractions into a base
+    # once, from its parent's base; held back, each contraction's
+    # neighbour is built again as its one-move base.
     vertices = []
     for system, height in ((vs, 3), (HoughtonSystem(2), 4)):
         rng = rng_from_seed(7)
@@ -834,8 +792,9 @@ def test_check_flag_builds_each_neighbour_once(monkeypatch):
         m.kind == "contract" for sx, v in vertices for m in sx.moves_at(v)
     )
     assert len(more) - len(fewer) == contractions == 1000
-    assert fewer.count(2) == more.count(2)
-    assert more.count(1) == contractions and 1 not in fewer
+    assert fewer == contraction_bases(vertices, 2)
+    assert more == contraction_bases(vertices, 1)
+    assert len(fewer) > 100
 
 
 # -- exploration -----------------------------------------------------------------------------
@@ -1185,6 +1144,25 @@ def test_stabilizer_rejects_a_generator_that_moves_the_vertex(
     )
     with pytest.raises(InputError, match="does not fix the vertex"):
         CubeComplex(system).stabilizer(v)
+
+
+def test_stabilizer_rejects_a_span_short_of_the_classes_product(monkeypatch):
+    # A height-3 `v` vertex has one class of three elements.  Its swap
+    # alone spans two group elements, not 3! = 6.
+    v = random_vertex(vs, rng_from_seed(7), 3)
+    els = list(v)
+    table = [[vs.transfer(a, b) for b in els] for a in els]
+    assert _transfer_classes(table) == ((0, 1, 2),)
+    real = cubical._class_generators
+
+    def swaps_only(classes):
+        perms = real(classes)
+        return [p for p in perms if all(p[j] == i for i, j in enumerate(p))]
+
+    monkeypatch.setattr(cubical, "_class_generators", swaps_only)
+    assert swaps_only(((0, 1, 2),)) == [(1, 0, 2)]
+    with pytest.raises(InputError, match="not the classes' product"):
+        cx.stabilizer(v)
 
 
 # The engine's stabilizer is closed by construction, so the one closure

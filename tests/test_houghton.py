@@ -211,6 +211,18 @@ def test_group_construction_rejects_bad_maps():
 
 
 @pytest.mark.parametrize(
+    "offsets",
+    [(0.5, -0.5), (1.0, -1), (True, -1), ("1", "-1"), [0, False]],
+    ids=["halves", "float", "bool", "str", "bool-in-list"],
+)
+def test_group_offsets_must_be_ints(offsets):
+    # `int(0.5)` is 0, so halves once made the identity in silence.
+    with pytest.raises(InputError, match="offsets must be a list of ints"):
+        HGroupElement.make(2, offsets, {})
+    assert HGroupElement.make(2, [0, 0], {}) == h2.identity()
+
+
+@pytest.mark.parametrize(
     "offsets", [(10**9, 0), (0, -(10**9)), (10**9, -(10**9))]
 )
 def test_group_offsets_beyond_the_exceptions_fail_at_once(offsets):
