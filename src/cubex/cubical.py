@@ -208,15 +208,11 @@ def _clique_cubes(v, moves, pairs, max_size, neighbors=()):
     A clique's base is v after its contractions, so it is its parent's
     base, after one contraction when the index just added is one:
     `_neighbor`, or `neighbors[i]` (the vertex move i reaches from v, if
-    given) when no contraction precedes it.  With the moves in
-    `moves_at` order, contractions first, every clique lists its
-    contractions first, so each set of them is built into a base once;
-    in any other order, the bases are still right but may be built
-    again.  The walk trusts `pairs` to join only moves at v with
-    disjoint basins, as the link's edges do: only each contraction's
-    basin is checked, in its parent's base (MoveNotApplicable if it is
-    missing), so a caller with other cliques checks every basin first,
-    as `cube_from_moves` does."""
+    given) when no contraction precedes it.  The moves are in `moves_at`
+    order, contractions first, so every clique lists its contractions
+    first and each set of them is built into a base once.  The walk
+    trusts `pairs` to join only moves at v with disjoint basins, as the
+    link's edges do."""
 
     def extend(clique, candidates, base):
         active = _in_key_order(moves[i].target for i in clique)
@@ -301,16 +297,12 @@ class CubeComplex:
         """The cube spanned at v by moves with pairwise disjoint basins;
         MoveNotApplicable unless v holds each basin and none overlap.
 
-        That one check of every basin lets the walk take all the moves as
-        one clique, the first of its size it reaches: with the moves in
-        `moves_at` order, each base on the way is built once, from its
-        parent by one contraction; in any other order, the cube is the
-        same but a base may be built again."""
-        _reached(v, [b for m in moves for b in m.basin], ())
-        n = len(moves)
-        every = frozenset(itertools.combinations(range(n), 2))
-        walk = _clique_cubes(v, moves, every, n)
-        return next(cube for clique, cube in walk if len(clique) == n)
+        Its base is v with each basin swapped for its move's target: an
+        expansion's basin is its own target, and a contraction's basin
+        is swapped for the element it contracts to."""
+        targets = [m.target for m in moves]
+        base = _reached(v, [b for m in moves for b in m.basin], targets)
+        return Cube(_vertex_unchecked(base), _in_key_order(targets))
 
     def cubes_at(self, v, max_dim):
         """One cube per clique of disjoint-basin moves at v, up to max_dim,
@@ -357,7 +349,6 @@ class CubeComplex:
             if not clique:
                 continue
             checked += 1
-            moves = [lg.nodes[i] for i in clique]
             try:
                 ok = vertex_in_cube(cube, v) and all(
                     vertex_in_cube(cube, lg.neighbors[i]) for i in clique
@@ -365,7 +356,7 @@ class CubeComplex:
             except InputError:
                 ok = False
             if not ok:
-                failures.append(tuple(moves))
+                failures.append(tuple(lg.nodes[i] for i in clique))
             elif len(clique) == 2:
                 squares.add(clique)
 

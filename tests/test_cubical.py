@@ -620,9 +620,63 @@ def test_cube_bases_match_the_apply_move_chain(system, seed, monkeypatch):
     for v, moves, cube in built:
         assert cube == reference_cube_from_moves(v, moves)
         assert keeps_its_set(cube.base)
-        # In any order, the walk's base chain spans the same cube.
+        # In any order, the moves span the same cube.
         assert sx.cube_from_moves(v, rng.sample(moves, len(moves))) == cube
     assert sum(cube.base != v for v, _, cube in built) > 100
+
+
+def disjoint_move_sets(system, seed, count):
+    """(v, moves) for `count` seeded vertices: a greedy set of moves with
+    pairwise disjoint basins, taken from all the moves at v in shuffled
+    order and left in that order."""
+    rng = rng_from_seed(seed)
+    sx = CubeComplex(system)
+    for v in seeded_vertices(system, seed, count, 5):
+        moves = sx.moves_at(v)
+        rng.shuffle(moves)
+        chosen = []
+        for m in moves[: rng.randint(1, len(moves))]:
+            if all(m.basin.isdisjoint(c.basin) for c in chosen):
+                chosen.append(m)
+        yield v, chosen
+
+
+class _NoItertools:
+    def __getattr__(self, name):
+        raise AssertionError(f"itertools.{name} called")
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@BUILT_SYSTEMS
+def test_cube_from_moves_is_one_swap_of_every_basin(system, seed, monkeypatch):
+    # A cube from given moves takes neither the clique walk nor a table
+    # of pairs: its base is one swap of every basin, one vertex built.
+    sets = list(disjoint_move_sets(system, seed, 40))
+    want = [reference_cube_from_moves(v, moves) for v, moves in sets]
+    sx = CubeComplex(system)
+    built = []
+    real = cubical._vertex_unchecked
+
+    def counting(elements):
+        built.append(elements)
+        return real(elements)
+
+    def walk(*args):
+        raise AssertionError("cube_from_moves walked the cliques")
+
+    monkeypatch.setattr(cubical, "_clique_cubes", walk)
+    monkeypatch.setattr(cubical, "itertools", _NoItertools())
+    monkeypatch.setattr(cubical, "_vertex_unchecked", counting)
+    for (v, moves), cube in zip(sets, want):
+        built.clear()
+        got = sx.cube_from_moves(v, moves)
+        assert got == cube
+        assert len(built) == 1
+        assert keeps_its_set(got.base)
+    # Some sets hold contractions, and the largest reach the most
+    # pairwise disjoint basins the system allows (n on houghton).
+    assert sum(cube.base != v for (v, _), cube in zip(sets, want)) > 5
+    assert max(cube.dim for cube in want) >= (3 if system is vs else system.n)
 
 
 @pytest.mark.parametrize("seed", [7, 1009])

@@ -43,8 +43,10 @@ SYSTEMS = {
 NAMES = pytest.mark.parametrize("name", sorted(SYSTEMS))
 
 
-def seeded_start(system, seed):
-    height = system.base_vertex().height + 2
+def seeded_start(system, seed, height=None):
+    """A seeded vertex of `height`, by default two above the base."""
+    if height is None:
+        height = system.base_vertex().height + 2
     return random_vertex(system, rng_from_seed(seed), height)
 
 
@@ -264,11 +266,17 @@ def reference_bfs(cx, start, radius):
 
 @NAMES
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("radius", [2, 3])
-def test_bfs_matches_the_loop_without_memos(name, seed, radius):
+@pytest.mark.parametrize(
+    "radius, height",
+    [(2, None), (3, None), (2, 4), (2, 5), (2, 6)],
+    ids=["2", "3", "2-h4", "2-h5", "2-h6"],
+)
+def test_bfs_matches_the_loop_without_memos(name, seed, radius, height):
+    # Starts two above the base, and starts of heights up to 6: from
+    # height 6, a radius-2 ball holds 730 vertices on `v`.
     system = SYSTEMS[name]()
     cx = CubeComplex(system)
-    start = seeded_start(system, seed)
+    start = seeded_start(system, seed, height)
     graph = cx.bfs(start, radius)
     want = reference_bfs(cx, start, radius)
     assert graph == want
