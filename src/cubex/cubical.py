@@ -470,13 +470,20 @@ class CubeComplex:
         multiplication, is closed by construction and maps onto the
         product.  So it has ∏ (class size)! elements iff g -> p is
         one-to-one, and then it is the whole stabilizer; InputError
-        otherwise.  Each member is multiplied by each generator once:
-        two products per element when one class holds every element the
-        stabilizer moves.  Raises CapExceeded (carrying the first `cap`
-        elements found, sorted) once more than `cap` are found.  The
-        span is walked as a list in the order found, and the set beside
+        otherwise.  Forming group[x] * t_i = group[j] records
+        back[i][j] = x.  When the chain x, back[i][x], ... reaches j
+        after p-1 steps, group[j] * t_i^(p-1) = group[x], so t_i^p = 1
+        by cancelling group[j], and the first such p is t_i's order m.
+        Once m is known, a member g with m-1 recorded steps back to
+        group[y] is group[y] * t_i^(m-1), so g * t_i is group[y] and is
+        not formed.  Skipped products land on members, so the list grows
+        as if every product were formed, and S * t ⊆ S still holds for
+        each generator: 32 products for an order-24 group of one class,
+        not 48.  Raises CapExceeded (carrying the first `cap` elements
+        found, sorted) once more than `cap` are found.  The span is
+        walked as a list in the order found, and the index dict beside
         it only answers membership, so no hash order reaches the
-        products formed or the partial list.
+        products formed, the orders learned or the partial list.
         """
         els = list(v)
         members = v.as_set()
@@ -490,14 +497,34 @@ class CubeComplex:
                 raise InputError("a class generator does not fix the vertex")
             generators.append(g)
         group = [system.identity()]
-        span = set(group)
+        index = {group[0]: 0}
+        back = [[None] for _ in generators]
+        orders = [None] * len(generators)
         key = type(group[0]).key
-        for g in group:  # grows as it is walked
-            for t in generators:
+        for x, g in enumerate(group):  # grows as it is walked
+            for i, t in enumerate(generators):
+                before, order = back[i], orders[i]
+                if order is not None:
+                    y = x
+                    for _ in range(order - 1):
+                        y = before[y]
+                        if y is None:
+                            break
+                    else:
+                        continue  # g = group[y] * t^(order-1): g * t is y
                 h = g * t
-                if h not in span:
-                    span.add(h)
+                j = index.setdefault(h, len(group))
+                if j == len(group):
                     group.append(h)
+                    for slots in back:
+                        slots.append(None)
+                before[j] = x
+                if order is None:
+                    y, steps = x, 1
+                    while y is not None and y != j:
+                        y, steps = before[y], steps + 1
+                    if y == j:
+                        orders[i] = steps
             if len(group) > cap:
                 raise CapExceeded(
                     f"stabilizer exceeded {cap} elements",

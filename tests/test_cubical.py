@@ -1058,8 +1058,11 @@ def test_stabilizer_matches_brute(system, seed):
 def test_stabilizer_keeps_every_check(system, height, tiling, monkeypatch):
     # The checks of the span design: each class generator is assembled
     # once, with its tiling checked on both sides, and acted on at each
-    # of v's k elements.  The span forms |G| products per generator and
-    # inverts nothing; the order check makes no group operation.
+    # of v's k elements.  The span forms g * t only when t's order m is
+    # not yet known or g is not t^(m-1) recorded steps past a member:
+    # 32 products for these order-24 groups, where forming every one
+    # would take |G| per generator, 48.  It inverts nothing; the order
+    # check makes no group operation.
     v = random_vertex(system, rng_from_seed(7), height)
     els = list(v)
     table = [[system.transfer(a, b) for b in els] for a in els]
@@ -1091,8 +1094,68 @@ def test_stabilizer_keeps_every_check(system, height, tiling, monkeypatch):
         "assemble": generators,
         tiling[1]: 2 * generators,
         "act": len(els) * generators,
-        "__mul__": order * generators,
+        "__mul__": 32,
     }
+
+
+def spanned_by_every_product(system, v):
+    """The span of v's class generators, as the walk that forms every
+    product g * t builds it: members in the order found, unsorted."""
+    els = list(v)
+    table = [[system.transfer(a, b) for b in els] for a in els]
+    generators = [
+        system.assemble([row[j] for row, j in zip(table, perm)])
+        for perm in _class_generators(_transfer_classes(table))
+    ]
+    group = [system.identity()]
+    span = set(group)
+    for g in group:  # grows as it is walked
+        for t in generators:
+            h = g * t
+            if h not in span:
+                span.add(h)
+                group.append(h)
+    return group
+
+
+# Products the span walk forms, by order, for one class: the order-2
+# swap is formed twice before its chain closes, so nothing is skipped.
+PRODUCTS_BY_ORDER = {1: 0, 2: 2, 6: 9, 24: 32, 120: 158, 720: 962}
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@BUILT_SYSTEMS
+def test_stabilizer_span_matches_the_walk_forming_every_product(
+    system, seed, monkeypatch
+):
+    products = collections.Counter()
+    group_type = type(system.identity())
+    real = group_type.__mul__
+
+    def counted(g, t):
+        products["mul"] += 1
+        return real(g, t)
+
+    monkeypatch.setattr(group_type, "__mul__", counted)
+    complex_ = CubeComplex(system)
+    key = group_type.key
+    rng = rng_from_seed(seed)
+    low = system.base_vertex().height
+    for h in range(low, low + 6):
+        v = random_vertex(system, rng, h)
+        products.clear()
+        got = complex_.stabilizer(v)
+        formed = products["mul"]
+        want = spanned_by_every_product(system, v)
+        assert got == sorted(want, key=key), h
+        assert formed == PRODUCTS_BY_ORDER[len(want)], h
+        for cap in (1, 2, 3, 5, 8, 13, 21, 50, 100):
+            if cap >= len(want):
+                assert complex_.stabilizer(v, cap=cap) == got, (h, cap)
+                continue
+            with pytest.raises(CapExceeded) as err:
+                complex_.stabilizer(v, cap=cap)
+            assert err.value.partial == sorted(want[:cap], key=key), (h, cap)
 
 
 def class_sizes(system, v):
