@@ -20,6 +20,7 @@ from .core import (
     CapExceeded,
     DuplicateElement,
     InputError,
+    MoveNotApplicable,
     Vertex,
     _in_key_order,
     _reached,
@@ -179,15 +180,6 @@ def intersection_lemma_check(c1, c2):
     return LemmaReport(hypotheses, 2**meet.dim, violations)
 
 
-def _disjoint_pairs(moves):
-    """The index pairs (i, j), i < j, of moves with disjoint basins."""
-    return frozenset(
-        (i, j)
-        for i, j in itertools.combinations(range(len(moves)), 2)
-        if moves[i].basin.isdisjoint(moves[j].basin)
-    )
-
-
 def _target_key(m):
     return m.target.key()
 
@@ -197,40 +189,126 @@ def _neighbor(v, m):
     return _vertex_unchecked(_reached(v, m.basin, m.gain))
 
 
-def _clique_cubes(v, moves, pairs, max_size, neighbors=()):
-    """(clique, cube) for each clique, up to max_size, of the graph on
-    the indices of `moves` whose edges are the pairs i < j in `pairs`, in
-    depth-first order from the empty clique: the clique as an index
-    tuple, and the cube its moves span at v.  A clique's candidates are
-    the later indices adjacent to all its members, so each extension
-    only filters its parent's list.
+def _bits(mask):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Link:
+    """The link of v on one integer index of elements.
+
+    An element gets the next bit when it is first masked: v's elements
+    in vertex order, then the contraction targets in `moves_at` order,
+    then the children that `neighbors` and `kids` mask, in the order
+    they are asked for, each in `moves_at` and `children()` order.  No
+    hash order picks a bit.  Masks are equal iff their element sets
+    are, so a corner holding a child that no vertex of the link holds
+    equals none of them.
+
+    `vertex` is v's mask.  Per move i, `basins[i]` and `targets[i]` are
+    masks, and `later[i]` is the mask of the move indices j > i whose
+    basins are disjoint from move i's.  A basin lies in v, so its mask
+    has only v's bits.
+    """
+
+    __slots__ = ("moves", "bit", "vertex", "basins", "targets", "later")
+
+    def __init__(self, v, moves):
+        self.moves = moves
+        self.bit = bit = {b: 1 << i for i, b in enumerate(v)}
+        self.vertex = (1 << len(v)) - 1
+        basins = [sum(map(bit.__getitem__, m.basin)) for m in moves]
+        self.basins = basins
+        self.targets = [
+            basin if m.kind == "expand" else self.mask((m.target,))
+            for m, basin in zip(moves, basins)
+        ]
+        self.later = []
+        for i, basin in enumerate(basins):
+            row = 0
+            for j in range(i + 1, len(basins)):
+                if not basin & basins[j]:
+                    row |= 1 << j
+            self.later.append(row)
+
+    def mask(self, elements):
+        """The mask of `elements`, giving each new one the next bit."""
+        out = 0
+        for b in elements:
+            out |= self.bit.setdefault(b, 1 << len(self.bit))
+        return out
+
+    def neighbors(self):
+        """Per move, the mask of the vertex it reaches: v with the basin
+        swapped for the expansion's children or the contraction's
+        target.  RuntimeError if two moves reach the same one."""
+        neighbors = [
+            self.vertex & ~basin
+            | (self.mask(m.target.children()) if m.kind == "expand" else t)
+            for m, basin, t in zip(self.moves, self.basins, self.targets)
+        ]
+        if len(set(neighbors)) != len(neighbors):
+            raise RuntimeError("distinct moves reached the same neighbor")
+        return neighbors
+
+    def kids(self):
+        """The mask of each target's children, keyed by the target's
+        mask."""
+        return {
+            target: self.mask(m.target.children())
+            for m, target in zip(self.moves, self.targets)
+        }
+
+    def edges(self):
+        """The index pairs (i, j), i < j, of moves with disjoint basins."""
+        return frozenset(
+            (i, j) for i, row in enumerate(self.later) for j in _bits(row)
+        )
+
+
+def _cliques(link, max_size):
+    """(clique, base, active) for each clique of the link, up to
+    max_size, in depth-first order from the empty clique: the clique as
+    a tuple of indices into `link.moves`, and the base and the active
+    elements of the cube its moves span at v, as masks.  A clique's
+    candidates are the later indices adjacent to all its members, so
+    each extension masks its parent's with one row of `link.later`.
 
     A clique's base is v after its contractions, so it is its parent's
     base, after one contraction when the index just added is one:
-    `_neighbor`, or `neighbors[i]` (the vertex move i reaches from v, if
-    given) when no contraction precedes it.  The moves are in `moves_at`
+    `(base & ~basin) | target`, MoveNotApplicable unless the base holds
+    the basin, as `core._reached` raises.  The moves are in `moves_at`
     order, contractions first, so every clique lists its contractions
-    first and each set of them is built into a base once.  The walk
-    trusts `pairs` to join only moves at v with disjoint basins, as the
-    link's edges do."""
-
-    def extend(clique, candidates, base):
-        active = _in_key_order(moves[i].target for i in clique)
-        yield tuple(clique), Cube(base, active)
-        if len(clique) < max_size:
-            for i in candidates:
-                if moves[i].kind != "contract":
-                    down = base
-                elif neighbors and base is v:
-                    down = neighbors[i]
-                else:
-                    down = _neighbor(base, moves[i])
-                later = [j for j in candidates if (i, j) in pairs]
-                clique.append(i)
-                yield from extend(clique, later, down)
-                clique.pop()
-
-    return extend([], range(len(moves)), v)
+    first and each set of them is built into a base once."""
+    basins, targets, later = link.basins, link.targets, link.later
+    contracts = [m.kind == "contract" for m in link.moves]
+    yield (), link.vertex, 0
+    # Cliques still to extend, each with the candidates it has not yet
+    # tried.  The top is extended next, so a clique's children are
+    # walked before its later siblings.
+    todo = []
+    if basins and max_size > 0:
+        todo.append(((), (1 << len(basins)) - 1, link.vertex, 0))
+    while todo:
+        clique, candidates, base, active = todo.pop()
+        low = candidates & -candidates
+        i = low.bit_length() - 1
+        candidates ^= low
+        if candidates:
+            todo.append((clique, candidates, base, active))
+        if contracts[i]:
+            if basins[i] & ~base:
+                raise MoveNotApplicable("basin not contained in vertex")
+            base = base & ~basins[i] | targets[i]
+        clique += (i,)
+        active |= targets[i]
+        yield clique, base, active
+        candidates &= later[i]
+        if candidates and len(clique) < max_size:
+            todo.append((clique, candidates, base, active))
 
 
 @dataclass(unsafe_hash=True)
@@ -306,27 +384,44 @@ class CubeComplex:
 
     def cubes_at(self, v, max_dim):
         """One cube per clique of disjoint-basin moves at v, up to max_dim,
-        in the walk's depth-first order (`_clique_cubes`).  The moves are
-        in `moves_at` order, so each set of contractions is built into a
-        base once.
+        in the depth-first order of the link's walk (`_cliques`).  A
+        clique's base vertex is its parent's, after one contraction
+        (`_neighbor`) when the move just added is one.  The moves are in
+        `moves_at` order, so each set of contractions is built into a
+        base once.  Its active elements are the clique's targets sorted
+        by key, ties in clique order, as `_in_key_order` sorts them.
 
         Every returned cube contains v; the empty clique contributes the
         0-cube at v, and the all-expansions clique realizes the maximal
         cube of the ascending star.
         """
         moves = self.moves_at(v)
-        walk = _clique_cubes(v, moves, _disjoint_pairs(moves), max_dim)
-        return [cube for clique, cube in walk]
+        targets = [m.target for m in moves]
+        key = [b.key() for b in targets].__getitem__
+        bases = [v]  # bases[d]: the base of the clique's first d moves
+        cubes = []
+        for clique, _, _ in _cliques(_Link(v, moves), max_dim):
+            d = len(clique)
+            if d:
+                m, base = moves[clique[-1]], bases[d - 1]
+                if m.kind == "contract":
+                    base = _neighbor(base, m)
+                bases[d:] = [base]
+            active = tuple(map(targets.__getitem__, sorted(clique, key=key)))
+            cubes.append(Cube(bases[d], active))
+        return cubes
 
     # -- link and flag condition ---------------------------------------------
 
     def link_graph(self, v):
+        """The moves at v, the pairs of them with disjoint basins, read
+        off the link's index (`_Link`), and the vertex each reaches;
+        RuntimeError if two moves reach the same one."""
         moves = self.moves_at(v)
-        edges = _disjoint_pairs(moves)
+        link = _Link(v, moves)
+        link.neighbors()  # RuntimeError on a repeated neighbour
         neighbors = tuple(_neighbor(v, m) for m in moves)
-        if len(set(neighbors)) != len(neighbors):
-            raise RuntimeError("distinct moves reached the same neighbor")
-        return LinkGraph(v, tuple(moves), edges, neighbors)
+        return LinkGraph(v, tuple(moves), link.edges(), neighbors)
 
     def check_flag(self, v, max_clique=6):
         """Constructively verify the flag condition at v.
@@ -335,44 +430,61 @@ class CubeComplex:
         the clique's neighbor vertices, and adjacency must coincide with
         the existence of a 2-cube through v and both neighbors.
 
-        The cliques and their cubes come from one walk of the link
-        (`_clique_cubes`), its nodes in `moves_at` order: each set of two
-        or more contractions is built into a base once, and a single
-        contraction's base is its link neighbour, built by `link_graph`.
+        It runs on the link's index (`_Link`) and builds no vertex or
+        cube.  The cliques come from its walk (`_cliques`), with the
+        masks of their cube's base and active elements.  A vertex w is in
+        the cube iff its active elements missing from w, `on`, lie in
+        the base and the base without them, plus their children, is w:
+        the rule of `vertex_on_set`, which raises InputError where `on`
+        is not in the base.  A clique fails if the rule fails for v or
+        for any of its neighbours.  RuntimeError, as in `link_graph`, if
+        two moves reach the same neighbour.
         """
-        lg = self.link_graph(v)
-        walk = _clique_cubes(v, lg.nodes, lg.edges, max_clique, lg.neighbors)
+        moves = self.moves_at(v)
+        link = _Link(v, moves)
+        neighbors = link.neighbors()
+        kids = link.kids()
         failures = []
         checked = 0
-        squares = set()
-        for clique, cube in walk:
+        squares = [0] * len(moves)  # row i: the j of each passed (i, j)
+        for clique, base, active in _cliques(link, max_clique):
             if not clique:
                 continue
             checked += 1
-            try:
-                ok = vertex_in_cube(cube, v) and all(
-                    vertex_in_cube(cube, lg.neighbors[i]) for i in clique
-                )
-            except InputError:
-                ok = False
-            if not ok:
-                failures.append(tuple(lg.nodes[i] for i in clique))
-            elif len(clique) == 2:
-                squares.add(clique)
+            # The else branch runs iff v and each neighbour are corners.
+            for w in (link.vertex, *[neighbors[i] for i in clique]):
+                on = active & ~w
+                if on & ~base:
+                    break
+                children = 0
+                rest = on
+                while rest:
+                    low = rest & -rest
+                    children |= kids[low]
+                    rest ^= low
+                if base & ~on | children != w:
+                    break
+            else:
+                if len(clique) == 2:
+                    squares[clique[0]] |= 1 << clique[1]
+                continue
+            failures.append(tuple(moves[i] for i in clique))
 
         # A passed 2-cube of clique (i, j) has corners v, neighbours i
         # and j, and a fourth that differs from v in two disjoint basins,
-        # so it is no neighbour.  Neighbours are distinct (`link_graph`
-        # raises otherwise), so a 2-cube through v and neighbours i and j
-        # exists iff (i, j) passed; a clique is an edge, so every
-        # mismatch is an edge that did not pass.
+        # so it is no neighbour.  Neighbours are distinct (checked
+        # above), so a 2-cube through v and neighbours i and j exists iff
+        # (i, j) passed; a clique is an edge, so every mismatch is an
+        # edge that did not pass.
         mismatches = [
-            (lg.nodes[i], lg.nodes[j]) for i, j in sorted(lg.edges - squares)
+            (moves[i], moves[j])
+            for i, row in enumerate(link.later)
+            for j in _bits(row & ~squares[i])
         ]
         return FlagReport(
             v,
-            len(lg.nodes),
-            len(lg.edges),
+            len(moves),
+            sum(row.bit_count() for row in link.later),
             checked,
             tuple(failures),
             tuple(mismatches),

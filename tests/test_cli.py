@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cubex import InputError, cli, cubical
+from cubex import cli, cubical, thompson
 from cubex.cli import main
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -483,29 +483,56 @@ def test_boolean_branch_count_is_input_error(tmp_path, capsys):
 # -- exit 1: only a failed verification ----------------------------------
 
 
-def refuse_corner(c, w):
-    raise InputError("corner refused")
+def grandchild_targets(monkeypatch):
+    # Each coexpansion is swapped for its first grandchild, so its
+    # children are not the basin: every clique holding a contraction
+    # fails, with its cube's corner unequal to the vertex tested, and
+    # so does every edge to a contraction.
+    real = thompson.VSystem.coexpansions
+
+    def broken(system, elements):
+        return [t.children()[0].children()[0] for t in real(system, elements)]
+
+    monkeypatch.setattr(thompson.VSystem, "coexpansions", broken)
+    return 6 + 6, 6
+
+
+def bases_without_active(monkeypatch):
+    # Each clique's base comes out of the walk without its active
+    # elements, so no clique's cube holds v or its neighbours: an
+    # expansion's corner is unequal to v, and a contraction's target is
+    # not in the base, the case where `vertex_on_set` raises InputError.
+    real = cubical._cliques
+
+    def walk(link, max_size):
+        for clique, base, active in real(link, max_size):
+            yield clique, base & ~active, active
+
+    monkeypatch.setattr(cubical, "_cliques", walk)
+    return 9 + 9, 9
 
 
 @pytest.mark.parametrize(
-    "vertex_on_set",
-    [lambda c, w: None, refuse_corner],
+    "fault",
+    [grandchild_targets, bases_without_active],
     ids=["not-in-cube", "input-error"],
 )
 def test_link_exits_1_when_the_flag_check_fails(
-    fig, capsys, monkeypatch, vertex_on_set
+    fig, capsys, monkeypatch, fault
 ):
-    # No clique's cube then holds its neighbours, so every clique fails
-    # and every edge of the link lacks its square.
-    monkeypatch.setattr(cubical, "vertex_on_set", vertex_on_set)
+    # The link of the fig vertex has 3 expansions and 6 contractions, and
+    # 9 edges: the 3 expansion pairs, and each contraction with the
+    # expansion of the element outside its basin.
+    failures, mismatches = fault(monkeypatch)
     code, out, _ = run(
         capsys, "link", fig, "--check-flag", "--max-clique", "2"
     )
     assert code == 1
     flag = json.loads(out)["flag"]
     assert flag["passed"] is False
-    assert flag["failures"] == flag["cliques_checked"] == 9 + 9
-    assert flag["square_mismatches"] == 9
+    assert flag["cliques_checked"] == 9 + 9
+    assert flag["failures"] == failures
+    assert flag["square_mismatches"] == mismatches
 
 
 def test_intersect_exits_1_when_the_brute_check_disagrees(

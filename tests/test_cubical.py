@@ -15,6 +15,7 @@ from cubex import (
     Cube,
     CubeComplex,
     DuplicateElement,
+    FlagReport,
     HGroupElement,
     HoughtonSystem,
     InputError,
@@ -36,8 +37,8 @@ from cubex import core, cubical, houghton, thompson
 from cubex.core import AscendingPath
 from cubex.cubical import (
     _class_generators,
-    _clique_cubes,
-    _disjoint_pairs,
+    _cliques,
+    _Link,
     _transfer_classes,
 )
 from cubex.oracle import (
@@ -431,17 +432,22 @@ def reference_cube_from_moves(v, moves):
 
 
 def reference_check_flag(cx, v, max_clique):
-    """`check_flag`'s verdicts as the loop it replaced computed them: each
-    move pair tested against the corner set of every passed 2-cube, with
-    the cliques, bases, neighbours and edges of the references above."""
-    nodes = cx.link_graph(v).nodes
+    """`check_flag` as the loop it replaced computed it: each move pair
+    tested against the corner set of every passed 2-cube, with the
+    cliques, bases, neighbours and edges of the references above, and
+    corners tested by `vertex_in_cube`."""
+    nodes = cx.moves_at(v)
     neighbors = [apply_move(v, m) for m in nodes]
+    if len(set(neighbors)) != len(neighbors):
+        raise RuntimeError("distinct moves reached the same neighbor")
     edges = reference_pairs(nodes)
     failures = []
+    checked = 0
     two_cliques = {}
     for clique in reference_cliques(nodes, max_clique):
         if not clique:
             continue
+        checked += 1
         moves = [nodes[i] for i in clique]
         try:
             cube = reference_cube_from_moves(v, moves)
@@ -462,7 +468,52 @@ def reference_check_flag(cx, v, max_clique):
             square = any(wanted <= verts for verts in two_cliques.values())
             if square != ((i, j) in edges):
                 mismatches.append((nodes[i], nodes[j]))
-    return tuple(failures), tuple(mismatches)
+    return FlagReport(
+        v, n, len(edges), checked, tuple(failures), tuple(mismatches)
+    )
+
+
+def expandable_child(b):
+    return next(kid for kid in b.children() if kid.children() is not None)
+
+
+def untiled(coexpansions, v, rule):
+    """`coexpansions` with the tiling contract broken: each coexpansion
+    whose key hashes (crc32) to 0 mod 3 is swapped for an element whose
+    children are not its basin.
+    - "below": an expandable grandchild of it, whose children lie
+      outside the link;
+    - "inside": its expandable child, an element of the basin, so two
+      contractions that share an element can reach the same neighbour;
+    - "elsewhere", only for a basin's first coexpansion: the first
+      expandable element of v outside the basin, which a later
+      contraction of a clique can take out of its base.
+    """
+
+    def broken(elements):
+        out = list(coexpansions(elements))
+        for i, t in enumerate(out):
+            if zlib.crc32(t.key().encode()) % 3:
+                continue
+            if rule == "below":
+                out[i] = expandable_child(expandable_child(t))
+            elif rule == "inside":
+                out[i] = expandable_child(t)
+            elif i == 0:
+                out[i] = next(
+                    (b for b in v if b not in elements and b.children()), t
+                )
+        return out
+
+    return broken
+
+
+def flag_outcome(check, *args):
+    """check(*args), or the type of the exception it raised."""
+    try:
+        return check(*args)
+    except (RuntimeError, InputError) as e:
+        return type(e)
 
 
 @pytest.mark.parametrize("seed", [7, 1009])
@@ -472,28 +523,44 @@ def reference_check_flag(cx, v, max_clique):
     ids=["v", "houghton2", "houghton3"],
 )
 def test_square_index_matches_the_reference_loop(system, seed, monkeypatch):
-    # Some corners are hidden from the cubes, by a fixed rule, so that
-    # cliques fail, squares go missing and mismatches occur.
+    # The flag check on the link's masks against the object loop: one
+    # seeded vertex per height, from the base to base+5, each with
+    # max_clique 2, 3 and 6, the stock `coexpansions` and three that
+    # break the tiling contract, so that cliques fail, squares go
+    # missing, mismatches occur and neighbours coincide.  The reports,
+    # or the errors raised, are equal.  With the stock one, `cubes_at`
+    # builds the cube `cube_from_moves` spans on every clique.
     sx = CubeComplex(system)
-    real = cubical.vertex_on_set
-
-    def patchy(c, w):
-        hidden = zlib.crc32(f"{c.key()}/{w.key()}".encode()) % 5 == 0
-        return None if hidden else real(c, w)
-
+    stock = system.coexpansions
     rng = rng_from_seed(seed)
     low = system.base_vertex().height
-    mismatched = 0
-    for h in range(low, low + 5):
-        v = random_vertex(system, rng, h)
-        for rule in (real, patchy):
-            monkeypatch.setattr(cubical, "vertex_on_set", rule)
-            rep = sx.check_flag(v, 3)
-            want = reference_check_flag(sx, v, 3)
-            assert (rep.failures, rep.square_mismatches) == want, (v, rule)
-            assert rep.passed == (want == ((), ()))
-            mismatched += len(rep.square_mismatches)
-    assert mismatched > 5
+    vertices = [random_vertex(system, rng, h) for h in range(low, low + 6)]
+    seen = collections.Counter()
+    for v in vertices:
+        for rule in (None, "below", "inside", "elsewhere"):
+            broken = stock if rule is None else untiled(stock, v, rule)
+            monkeypatch.setattr(system, "coexpansions", broken)
+            for k in (2, 3, 6):
+                got = flag_outcome(sx.check_flag, v, k)
+                want = flag_outcome(reference_check_flag, sx, v, k)
+                assert got == want, (v, rule, k)
+                if isinstance(got, FlagReport):
+                    seen[rule, got.passed] += 1
+                    seen["mismatches"] += len(got.square_mismatches)
+                else:
+                    seen[rule, got] += 1
+            if rule is None:
+                moves = sx.moves_at(v)
+                walk = _cliques(_Link(v, moves), 6)
+                assert sx.cubes_at(v, 6) == [
+                    sx.cube_from_moves(v, [moves[i] for i in clique])
+                    for clique, _, _ in walk
+                ]
+    assert seen[None, True] == 18
+    for rule in ("below", "inside", "elsewhere"):
+        assert seen[rule, False] > 0, rule
+    assert seen["inside", RuntimeError] > 0
+    assert seen["mismatches"] > 5
 
 
 # -- joins ------------------------------------------------------------------------------
@@ -595,30 +662,20 @@ def keeps_its_set(w):
 
 @pytest.mark.parametrize("seed", [7, 1009])
 @BUILT_SYSTEMS
-def test_cube_bases_match_the_apply_move_chain(system, seed, monkeypatch):
-    # Every cube `cubes_at` and `check_flag` build is recorded and then
-    # built again by the chain of checked moves.
+def test_cube_bases_match_the_apply_move_chain(system, seed):
+    # Every cube `cubes_at` builds is built again by the chain of checked
+    # moves, from the clique of the reference walk in the same place.
     sx = CubeComplex(system)
     built = []
-    real = cubical._clique_cubes
-
-    def recording(v, moves, *rest):
-        for clique, cube in real(v, moves, *rest):
-            built.append((v, [moves[i] for i in clique], cube))
-            yield clique, cube
-
-    monkeypatch.setattr(cubical, "_clique_cubes", recording)
     for v in seeded_vertices(system, seed, 12, 4):
         moves = sx.moves_at(v)
-        assert sx.cubes_at(v, 3) == [
-            reference_cube_from_moves(v, [moves[i] for i in clique])
-            for clique in reference_cliques(moves, 3)
-        ]
+        cliques = [[moves[i] for i in c] for c in reference_cliques(moves, 3)]
+        cubes = sx.cubes_at(v, 3)
+        assert cubes == [reference_cube_from_moves(v, c) for c in cliques]
+        built += [(v, clique, cube) for clique, cube in zip(cliques, cubes)]
         assert sx.check_flag(v, 3).passed
-    monkeypatch.undo()
     rng = rng_from_seed(seed)
     for v, moves, cube in built:
-        assert cube == reference_cube_from_moves(v, moves)
         assert keeps_its_set(cube.base)
         # In any order, the moves span the same cube.
         assert sx.cube_from_moves(v, rng.sample(moves, len(moves))) == cube
@@ -664,7 +721,7 @@ def test_cube_from_moves_is_one_swap_of_every_basin(system, seed, monkeypatch):
     def walk(*args):
         raise AssertionError("cube_from_moves walked the cliques")
 
-    monkeypatch.setattr(cubical, "_clique_cubes", walk)
+    monkeypatch.setattr(cubical, "_cliques", walk)
     monkeypatch.setattr(cubical, "itertools", _NoItertools())
     monkeypatch.setattr(cubical, "_vertex_unchecked", counting)
     for (v, moves), cube in zip(sets, want):
@@ -694,15 +751,23 @@ def test_link_neighbours_match_apply_move(system, seed):
 @pytest.mark.parametrize("seed", [7, 1009])
 @BUILT_SYSTEMS
 def test_cliques_match_the_all_pairs_walk(system, seed):
+    # The walk on the link's masks yields the cliques of the reference
+    # walk in its order, each with the masks of the base and active
+    # elements of the cube the chain of checked moves builds.
     sx = CubeComplex(system)
     sizes = set()
     for v in seeded_vertices(system, seed, 6, 5):
         moves = sx.moves_at(v)
-        pairs = _disjoint_pairs(moves)
+        link = _Link(v, moves)
+        assert link.edges() == reference_pairs(moves)
         for k in range(1, 7):
-            got = [clique for clique, _ in _clique_cubes(v, moves, pairs, k)]
-            assert got == list(reference_cliques(moves, k)), (v, k)
-            sizes.update(len(c) for c in got)
+            got = list(_cliques(link, k))
+            assert [c for c, _, _ in got] == list(reference_cliques(moves, k))
+            sizes.update(len(c) for c, _, _ in got)
+        for clique, base, active in got:
+            cube = reference_cube_from_moves(v, [moves[i] for i in clique])
+            assert link.mask(cube.base) == base, (v, clique)
+            assert link.mask(cube.active) == active, (v, clique)
     # On houghton every basin holds a branch's ray, so a clique has at
     # most n moves.
     assert max(sizes) >= (5 if system is vs else system.n)
@@ -779,59 +844,24 @@ def test_join_targets_match_validate_vertex(system, seed):
     assert len({w.height for w in targets}) > 3
 
 
-def flag_reports_and_builds(monkeypatch, vertices, share):
-    """`check_flag` on each (complex, vertex), with the link's neighbours
-    passed to `_clique_cubes` or held back, and the cube bases the walk
-    builds: the vertex each `_reached` call made while it advances
-    reaches."""
-    real_reached, real_cubes = cubical._reached, cubical._clique_cubes
-    builds = []
-    inside = []
-
-    def reached(v, out, into):
-        got = real_reached(v, out, into)
-        if inside:
-            builds.append(got)
-        return got
-
-    def cubes(v, moves, pairs, max_size, neighbors=()):
-        given = neighbors if share else ()
-        walk = real_cubes(v, moves, pairs, max_size, given)
-        while True:
-            inside.append(v)
-            try:
-                item = next(walk, None)
-            finally:
-                inside.pop()
-            if item is None:
-                return
-            yield item
-
-    with monkeypatch.context() as patch:
-        patch.setattr(cubical, "_reached", reached)
-        patch.setattr(cubical, "_clique_cubes", cubes)
-        reports = [sx.check_flag(v, 3) for sx, v in vertices]
-    return reports, builds
-
-
-def contraction_bases(vertices, least):
-    """The bases of the cliques of `least` or more contractions, up to 3,
-    in walk order, each built by the chain of checked moves."""
+def contraction_bases(vertices):
+    """The bases of the cliques of one or more contractions, up to 3, in
+    walk order, each built by the chain of checked moves."""
     return [
         reference_cube_from_moves(v, [moves[i] for i in clique]).base.as_set()
         for sx, v in vertices
         for moves in [sx.moves_at(v)]
         for clique in reference_cliques(moves, 3)
-        if len(clique) >= least
-        and all(moves[i].kind == "contract" for i in clique)
+        if clique and all(moves[i].kind == "contract" for i in clique)
     ]
 
 
-def test_check_flag_builds_each_neighbour_once(monkeypatch):
+def test_check_flag_builds_nothing_and_cubes_at_each_base_once(monkeypatch):
     # 100 seed-7 height-3 `v` and 100 height-4 `houghton` n=2 vertices.
-    # The walk builds each set of two or more contractions into a base
-    # once, from its parent's base; held back, each contraction's
-    # neighbour is built again as its one-move base.
+    # `check_flag` runs on the link's masks: it reaches no `_reached`
+    # and builds no vertex and no cube.  `cubes_at` builds each set of
+    # one or more contractions into a base once, from its parent's base,
+    # and one cube per clique.
     vertices = []
     for system, height in ((vs, 3), (HoughtonSystem(2), 4)):
         rng = rng_from_seed(7)
@@ -839,16 +869,33 @@ def test_check_flag_builds_each_neighbour_once(monkeypatch):
         vertices += [
             (sx, random_vertex(system, rng, height)) for _ in range(100)
         ]
-    shared, fewer = flag_reports_and_builds(monkeypatch, vertices, True)
-    held, more = flag_reports_and_builds(monkeypatch, vertices, False)
-    assert shared == held
-    contractions = sum(
-        m.kind == "contract" for sx, v in vertices for m in sx.moves_at(v)
-    )
-    assert len(more) - len(fewer) == contractions == 1000
-    assert fewer == contraction_bases(vertices, 2)
-    assert more == contraction_bases(vertices, 1)
-    assert len(fewer) > 100
+    reports = [sx.check_flag(v, 3) for sx, v in vertices]
+    bases = contraction_bases(vertices)
+    reached, built = [], collections.Counter()
+    real_reached, real_vertex = cubical._reached, cubical._vertex_unchecked
+    init = cubical.Cube.__init__
+
+    def reaching(v, out, into):
+        reached.append(real_reached(v, out, into))
+        return reached[-1]
+
+    def vertex(elements):
+        built["vertex"] += 1
+        return real_vertex(elements)
+
+    def cube(c, base, active):
+        built["cube"] += 1
+        init(c, base, active)
+
+    monkeypatch.setattr(cubical, "_reached", reaching)
+    monkeypatch.setattr(cubical, "_vertex_unchecked", vertex)
+    monkeypatch.setattr(cubical.Cube, "__init__", cube)
+    assert [sx.check_flag(v, 3) for sx, v in vertices] == reports
+    assert reached == [] and not built
+    cubes = [c for sx, v in vertices for c in sx.cubes_at(v, 3)]
+    assert reached == bases
+    assert built == {"vertex": len(bases), "cube": len(cubes)}
+    assert len(bases) > 1000
 
 
 # -- exploration -----------------------------------------------------------------------------

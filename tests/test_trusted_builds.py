@@ -148,11 +148,14 @@ def test_every_trusted_build_is_a_vertex(name, seed, monkeypatch):
         counts[1] += audit.cubes - before[1]
 
     run_queries(system, seed, run)
-    # Each query but `stabilizer`, which builds no vertex, reached the
-    # audited `_vertex_unchecked`; the cube queries reached the audited
-    # `Cube` constructor.
+    # Each query but `stabilizer` and `check_flag`, which build no
+    # vertex, reached the audited `_vertex_unchecked`; the cube queries
+    # but `check_flag`, which runs on the link's masks and builds no
+    # cube, reached the audited `Cube` constructor.
     assert {q for q, (vertices, _) in built.items() if not vertices} == {
-        "stabilizer"
+        "stabilizer",
+        "check_flag",
     }
-    for query in ("cubes_at", "check_flag", "cube_intersection"):
+    assert built["check_flag"] == [0, 0]
+    for query in ("cubes_at", "cube_intersection"):
         assert built[query][1] > 0, query
