@@ -29,7 +29,6 @@ from .cubical import (
     ExplorationGraph,
     FlagReport,
     LemmaReport,
-    LinkGraph,
     cube_intersection,
     cube_vertices,
     graph_to_dot,
@@ -74,7 +73,6 @@ __all__ = [
     "HRayClass",
     "InputError",
     "LemmaReport",
-    "LinkGraph",
     "Move",
     "MoveNotApplicable",
     "NotABijection",

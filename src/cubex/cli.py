@@ -92,15 +92,15 @@ def cmd_neighbors(args):
 
 def cmd_link(args):
     system, v = literals.parse_vertex_obj(_load_json(args.vertex_file))
-    cx = CubeComplex(system)
-    lg = cx.link_graph(v)
+    link = CubeComplex(system).link(v)
+    link.neighbors()  # RuntimeError on a repeated neighbour
     out = {
-        "nodes": [literals.move_to_obj(system, m) for m in lg.nodes],
-        "edges": [list(e) for e in sorted(lg.edges)],
+        "nodes": [literals.move_to_obj(system, m) for m in link.moves],
+        "edges": [list(e) for e in sorted(link.edges())],
     }
     status = 0
     if args.check_flag:
-        rep = cx.check_flag(v, args.max_clique)
+        rep = link.check_flag(args.max_clique)
         out["flag"] = {
             "passed": rep.passed,
             "cliques_checked": rep.cliques_checked,

@@ -298,7 +298,7 @@ class ExpansionSystem:
     a basin is the union of the basin's supports.  So moves keep a
     vertex's supports pairwise disjoint, and a vertex reached by moves
     whose basins it holds skips `validate_vertex`: the corners and
-    bases of cubes, the neighbours in a link, and ascent steps.
+    bases of cubes, the `neighbors` list, and ascent steps.
 
     The region type supplies a normalizing `make` and a static
     `all_disjoint(regions)`, the one kernel that decides whether a

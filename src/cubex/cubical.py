@@ -208,15 +208,17 @@ class _Link:
     are, so a corner holding a child that no vertex of the link holds
     equals none of them.
 
-    `vertex` is v's mask.  Per move i, `basins[i]` and `targets[i]` are
+    `v` is the vertex, `moves` its moves in `moves_at` order and
+    `vertex` v's mask.  Per move i, `basins[i]` and `targets[i]` are
     masks, and `later[i]` is the mask of the move indices j > i whose
     basins are disjoint from move i's.  A basin lies in v, so its mask
     has only v's bits.
     """
 
-    __slots__ = ("moves", "bit", "vertex", "basins", "targets", "later")
+    __slots__ = ("v", "moves", "bit", "vertex", "basins", "targets", "later")
 
     def __init__(self, v, moves):
+        self.v = v
         self.moves = moves
         self.bit = bit = {b: 1 << i for i, b in enumerate(v)}
         self.vertex = (1 << len(v)) - 1
@@ -268,6 +270,67 @@ class _Link:
             (i, j) for i, row in enumerate(self.later) for j in _bits(row)
         )
 
+    def check_flag(self, max_clique):
+        """The flag report of v, up to cliques of `max_clique` moves.
+
+        It builds no vertex or cube.  The cliques come from the walk
+        (`_cliques`), with the masks of their cube's base and active
+        elements.  A vertex w is in the cube iff its active elements
+        missing from w, `on`, lie in the base and the base without them,
+        plus their children, is w: the rule of `vertex_on_set`, which
+        raises InputError where `on` is not in the base.  A clique fails
+        if the rule fails for v or for any of its neighbours.
+        RuntimeError if two moves reach the same neighbour (`neighbors`).
+        """
+        moves = self.moves
+        neighbors = self.neighbors()
+        kids = self.kids()
+        failures = []
+        checked = 0
+        squares = [0] * len(moves)  # row i: the j of each passed (i, j)
+        for clique, base, active in _cliques(self, max_clique):
+            if not clique:
+                continue
+            checked += 1
+            # The else branch runs iff v and each neighbour are corners.
+            for w in (self.vertex, *[neighbors[i] for i in clique]):
+                on = active & ~w
+                if on & ~base:
+                    break
+                children = 0
+                rest = on
+                while rest:
+                    low = rest & -rest
+                    children |= kids[low]
+                    rest ^= low
+                if base & ~on | children != w:
+                    break
+            else:
+                if len(clique) == 2:
+                    squares[clique[0]] |= 1 << clique[1]
+                continue
+            failures.append(tuple(moves[i] for i in clique))
+
+        # A passed 2-cube of clique (i, j) has corners v, neighbours i
+        # and j, and a fourth that differs from v in two disjoint basins,
+        # so it is no neighbour.  Neighbours are distinct (checked
+        # above), so a 2-cube through v and neighbours i and j exists iff
+        # (i, j) passed; a clique is an edge, so every mismatch is an
+        # edge that did not pass.
+        mismatches = [
+            (moves[i], moves[j])
+            for i, row in enumerate(self.later)
+            for j in _bits(row & ~squares[i])
+        ]
+        return FlagReport(
+            self.v,
+            len(moves),
+            sum(row.bit_count() for row in self.later),
+            checked,
+            tuple(failures),
+            tuple(mismatches),
+        )
+
 
 def _cliques(link, max_size):
     """(clique, base, active) for each clique of the link, up to
@@ -309,16 +372,6 @@ def _cliques(link, max_size):
         candidates &= later[i]
         if candidates and len(clique) < max_size:
             todo.append((clique, candidates, base, active))
-
-
-@dataclass(unsafe_hash=True)
-class LinkGraph:
-    """Moves at a vertex, with edges between moves whose basins are disjoint."""
-
-    vertex: Vertex
-    nodes: tuple  # Moves, sorted
-    edges: frozenset  # pairs (i, j) with i < j
-    neighbors: tuple  # neighbor vertex per node
 
 
 @dataclass(unsafe_hash=True)
@@ -395,12 +448,13 @@ class CubeComplex:
         0-cube at v, and the all-expansions clique realizes the maximal
         cube of the ascending star.
         """
-        moves = self.moves_at(v)
+        link = self.link(v)
+        moves = link.moves
         targets = [m.target for m in moves]
         key = [b.key() for b in targets].__getitem__
         bases = [v]  # bases[d]: the base of the clique's first d moves
         cubes = []
-        for clique, _, _ in _cliques(_Link(v, moves), max_dim):
+        for clique, _, _ in _cliques(link, max_dim):
             d = len(clique)
             if d:
                 m, base = moves[clique[-1]], bases[d - 1]
@@ -413,82 +467,21 @@ class CubeComplex:
 
     # -- link and flag condition ---------------------------------------------
 
-    def link_graph(self, v):
-        """The moves at v, the pairs of them with disjoint basins, read
-        off the link's index (`_Link`), and the vertex each reaches;
-        RuntimeError if two moves reach the same one."""
-        moves = self.moves_at(v)
-        link = _Link(v, moves)
-        link.neighbors()  # RuntimeError on a repeated neighbour
-        neighbors = tuple(_neighbor(v, m) for m in moves)
-        return LinkGraph(v, tuple(moves), link.edges(), neighbors)
+    def link(self, v):
+        """The link of v: its moves, in `moves_at` order, on one index of
+        elements (`_Link`), from which the edges, the neighbours, the
+        cliques and the flag report are read."""
+        return _Link(v, self.moves_at(v))
 
     def check_flag(self, v, max_clique=6):
-        """Constructively verify the flag condition at v.
+        """Constructively verify the flag condition at v (`_Link.check_flag`).
 
         Every clique in the link must span a cube containing v and all of
         the clique's neighbor vertices, and adjacency must coincide with
         the existence of a 2-cube through v and both neighbors.
-
-        It runs on the link's index (`_Link`) and builds no vertex or
-        cube.  The cliques come from its walk (`_cliques`), with the
-        masks of their cube's base and active elements.  A vertex w is in
-        the cube iff its active elements missing from w, `on`, lie in
-        the base and the base without them, plus their children, is w:
-        the rule of `vertex_on_set`, which raises InputError where `on`
-        is not in the base.  A clique fails if the rule fails for v or
-        for any of its neighbours.  RuntimeError, as in `link_graph`, if
-        two moves reach the same neighbour.
+        RuntimeError if two moves reach the same neighbour.
         """
-        moves = self.moves_at(v)
-        link = _Link(v, moves)
-        neighbors = link.neighbors()
-        kids = link.kids()
-        failures = []
-        checked = 0
-        squares = [0] * len(moves)  # row i: the j of each passed (i, j)
-        for clique, base, active in _cliques(link, max_clique):
-            if not clique:
-                continue
-            checked += 1
-            # The else branch runs iff v and each neighbour are corners.
-            for w in (link.vertex, *[neighbors[i] for i in clique]):
-                on = active & ~w
-                if on & ~base:
-                    break
-                children = 0
-                rest = on
-                while rest:
-                    low = rest & -rest
-                    children |= kids[low]
-                    rest ^= low
-                if base & ~on | children != w:
-                    break
-            else:
-                if len(clique) == 2:
-                    squares[clique[0]] |= 1 << clique[1]
-                continue
-            failures.append(tuple(moves[i] for i in clique))
-
-        # A passed 2-cube of clique (i, j) has corners v, neighbours i
-        # and j, and a fourth that differs from v in two disjoint basins,
-        # so it is no neighbour.  Neighbours are distinct (checked
-        # above), so a 2-cube through v and neighbours i and j exists iff
-        # (i, j) passed; a clique is an edge, so every mismatch is an
-        # edge that did not pass.
-        mismatches = [
-            (moves[i], moves[j])
-            for i, row in enumerate(link.later)
-            for j in _bits(row & ~squares[i])
-        ]
-        return FlagReport(
-            v,
-            len(moves),
-            sum(row.bit_count() for row in link.later),
-            checked,
-            tuple(failures),
-            tuple(mismatches),
-        )
+        return self.link(v).check_flag(max_clique)
 
     # -- joins ---------------------------------------------------------------
 

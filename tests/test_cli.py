@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cubex import cli, cubical, thompson
+from cubex import cli, cubical, literals, thompson
 from cubex.cli import main
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -533,6 +533,31 @@ def test_link_exits_1_when_the_flag_check_fails(
     assert flag["cliques_checked"] == 9 + 9
     assert flag["failures"] == failures
     assert flag["square_mismatches"] == mismatches
+
+
+@pytest.mark.parametrize("name", ["v_vertex1", "houghton3_vertex1"])
+def test_each_link_consumer_lists_the_moves_once(name, capsys, monkeypatch):
+    # `check_flag`, `cubes_at` and `cubex link --check-flag` each read
+    # one link, built from one `moves_at` call.
+    path = GOLDEN_INPUTS / f"{name}.json"
+    system, v = literals.parse_vertex_obj(json.loads(path.read_text()))
+    sx = cubical.CubeComplex(system)
+    calls = []
+    real = cubical.CubeComplex.moves_at
+
+    def counted(cx, w, *args):
+        calls.append(w)
+        return real(cx, w, *args)
+
+    monkeypatch.setattr(cubical.CubeComplex, "moves_at", counted)
+    for query in (lambda: sx.check_flag(v), lambda: sx.cubes_at(v, 3)):
+        calls.clear()
+        query()
+        assert calls == [v]
+    calls.clear()
+    assert main(["link", str(path), "--check-flag"]) == 0
+    capsys.readouterr()
+    assert calls == [v]
 
 
 def test_intersect_exits_1_when_the_brute_check_disagrees(

@@ -38,7 +38,6 @@ from cubex.core import AscendingPath
 from cubex.cubical import (
     _class_generators,
     _cliques,
-    _Link,
     _transfer_classes,
 )
 from cubex.oracle import (
@@ -348,11 +347,11 @@ def test_cube_questions_list_no_corners(monkeypatch):
 
 def test_link_of_halves():
     v = validate_vertex([ball("0"), ball("1")])
-    lg = cx.link_graph(v)
-    assert len(lg.nodes) == 4
-    assert len(lg.edges) == 1
-    (i, j), = lg.edges
-    assert lg.nodes[i].kind == lg.nodes[j].kind == "expand"
+    link = cx.link(v)
+    assert len(link.moves) == 4
+    assert len(link.edges()) == 1
+    (i, j), = link.edges()
+    assert link.moves[i].kind == link.moves[j].kind == "expand"
     rep = cx.check_flag(v, 4)
     assert rep.passed
 
@@ -550,8 +549,9 @@ def test_square_index_matches_the_reference_loop(system, seed, monkeypatch):
                 else:
                     seen[rule, got] += 1
             if rule is None:
-                moves = sx.moves_at(v)
-                walk = _cliques(_Link(v, moves), 6)
+                link = sx.link(v)
+                moves = link.moves
+                walk = _cliques(link, 6)
                 assert sx.cubes_at(v, 6) == [
                     sx.cube_from_moves(v, [moves[i] for i in clique])
                     for clique, _, _ in walk
@@ -741,11 +741,12 @@ def test_cube_from_moves_is_one_swap_of_every_basin(system, seed, monkeypatch):
 def test_link_neighbours_match_apply_move(system, seed):
     sx = CubeComplex(system)
     for v in seeded_vertices(system, seed, 12, 4):
-        lg = sx.link_graph(v)
-        assert lg.neighbors == tuple(apply_move(v, m) for m in lg.nodes)
-        assert all(keeps_its_set(w) for w in lg.neighbors)
-        assert lg.edges == reference_pairs(lg.nodes)
-        assert sx.neighbors(v) == list(zip(lg.nodes, lg.neighbors))
+        link = sx.link(v)
+        neighbors = sx.neighbors(v)
+        assert neighbors == [(m, apply_move(v, m)) for m in link.moves]
+        assert all(keeps_its_set(w) for _, w in neighbors)
+        assert link.neighbors() == [link.mask(w) for _, w in neighbors]
+        assert link.edges() == reference_pairs(link.moves)
 
 
 @pytest.mark.parametrize("seed", [7, 1009])
@@ -757,8 +758,8 @@ def test_cliques_match_the_all_pairs_walk(system, seed):
     sx = CubeComplex(system)
     sizes = set()
     for v in seeded_vertices(system, seed, 6, 5):
-        moves = sx.moves_at(v)
-        link = _Link(v, moves)
+        link = sx.link(v)
+        moves = link.moves
         assert link.edges() == reference_pairs(moves)
         for k in range(1, 7):
             got = list(_cliques(link, k))
@@ -816,7 +817,7 @@ def test_cube_layer_makes_no_checked_builds(system, monkeypatch):
     for v in vertices:
         sx.cubes_at(v, 3)
         sx.check_flag(v, 3)
-        sx.link_graph(v)
+        sx.link(v).neighbors()
         sx.neighbors(v)
         system.standardize(v)
     for v1, v2 in zip(vertices[::2], vertices[1::2]):
