@@ -11,9 +11,11 @@ types live in `thompson` and `houghton`.
 
 Every operation is pure and no value changes after construction in
 any way that can be observed.  Some values fill caches (a support, the
-children, a key, a hash) on first use; a cache never takes part in
-equality, hashing, `repr` or any serialized output, so values can be
-shared freely across workers.
+children, a hash) on first use; a cache never takes part in equality,
+hashing, `repr` or any serialized output, so values can be shared
+freely across workers.  An element's key is such a slot too, `_key`,
+but it is set at construction, so the engine sorts vertices and moves
+on `attrgetter("_key")`, with no Python call per element.
 
 Immutability is a contract the library keeps, not one Python enforces:
 the value classes are plain dataclasses, not frozen ones, since a
@@ -30,7 +32,7 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from dataclasses import dataclass, field
-from operator import methodcaller
+from operator import attrgetter
 
 
 class InputError(Exception):
@@ -70,11 +72,12 @@ class CapExceeded(Exception):
 
 
 def cached_field():
-    """A dataclass slot for a lazily filled cache.
+    """A dataclass slot for a cache.
 
     It is left out of `__init__`, equality, hashing and `repr`; its
-    value is set with a plain store on first use.  It is the one kind
-    of field the library assigns after construction.
+    value is set with a plain store, on first use or in
+    `__post_init__`.  It is the one kind of field the library assigns
+    after `__init__`.
     """
     return field(default=None, init=False, compare=False, repr=False)
 
@@ -112,7 +115,7 @@ class Vertex:
         return b in self.as_set()
 
     def key(self):
-        return "|".join(b.key() for b in self.elements)
+        return "|".join(map(_element_key, self.elements))
 
     def as_set(self):
         if self._set is None:
@@ -156,9 +159,12 @@ def _vertex_unchecked(elements):
     return v
 
 
+_element_key = attrgetter("_key")
+
+
 def _in_key_order(elements):
-    """The elements as a tuple sorted by `key()`, the order of a vertex."""
-    return tuple(sorted(elements, key=methodcaller("key")))
+    """The elements as a tuple sorted by key, the order of a vertex."""
+    return tuple(sorted(elements, key=_element_key))
 
 
 def _reached(v, out, into):
@@ -273,7 +279,7 @@ def ascend(v, pick):
     vertex by construction and is not checked again."""
     vertices = [v]
     moves = []
-    accepted = [(b.key(), b) for b in v if pick(b)]
+    accepted = [(b._key, b) for b in v if pick(b)]
     while accepted:
         _, target = accepted.pop(0)
         moves.append(Move.expand(target))
@@ -281,7 +287,7 @@ def ascend(v, pick):
         vertices.append(_vertex_unchecked(up))
         for kid in target.children():
             if pick(kid):
-                insort(accepted, (kid.key(), kid))
+                insort(accepted, (kid._key, kid))
     return AscendingPath(tuple(vertices), tuple(moves))
 
 
@@ -292,6 +298,9 @@ class ExpansionSystem:
     hash-equality matching class equality, `support()` returning the
     system's region type, and `children()` returning the ordered basin
     (length >= 2) or None when the element admits no proper expansion.
+    The key is a string fixed at construction and held in the slot
+    `_key`, which `key()` returns: the engine sorts elements and moves
+    on that slot, with no call per element.
     Generic code never assumes basins have size two.  Two facts of the
     construction hold in every system: the supports of an element's
     children tile its support, and the support of each coexpansion of

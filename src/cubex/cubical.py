@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .core import (
     CapExceeded,
@@ -180,8 +181,7 @@ def intersection_lemma_check(c1, c2):
     return LemmaReport(hypotheses, 2**meet.dim, violations)
 
 
-def _target_key(m):
-    return m.target.key()
+_target_key = attrgetter("target._key")
 
 
 def _neighbor(v, m):
@@ -246,15 +246,18 @@ class _Link:
     def neighbors(self):
         """Per move, the mask of the vertex it reaches: v with the basin
         swapped for the expansion's children or the contraction's
-        target.  RuntimeError if two moves reach the same one."""
-        neighbors = [
+        target.  Two moves may reach the same one (`injective`)."""
+        return [
             self.vertex & ~basin
             | (self.mask(m.target.children()) if m.kind == "expand" else t)
             for m, basin, t in zip(self.moves, self.basins, self.targets)
         ]
-        if len(set(neighbors)) != len(neighbors):
-            raise RuntimeError("distinct moves reached the same neighbor")
-        return neighbors
+
+    @staticmethod
+    def injective(neighbors):
+        """True iff the `neighbors` masks are distinct: no two moves
+        reach the same vertex."""
+        return len(set(neighbors)) == len(neighbors)
 
     def kids(self):
         """The mask of each target's children, keyed by the target's
@@ -280,10 +283,12 @@ class _Link:
         plus their children, is w: the rule of `vertex_on_set`, which
         raises InputError where `on` is not in the base.  A clique fails
         if the rule fails for v or for any of its neighbours.
-        RuntimeError if two moves reach the same neighbour (`neighbors`).
+        RuntimeError if two moves reach the same neighbour (`injective`).
         """
         moves = self.moves
         neighbors = self.neighbors()
+        if not self.injective(neighbors):
+            raise RuntimeError("distinct moves reached the same neighbor")
         kids = self.kids()
         failures = []
         checked = 0
@@ -451,7 +456,7 @@ class CubeComplex:
         link = self.link(v)
         moves = link.moves
         targets = [m.target for m in moves]
-        key = [b.key() for b in targets].__getitem__
+        key = [b._key for b in targets].__getitem__
         bases = [v]  # bases[d]: the base of the clique's first d moves
         cubes = []
         for clique, _, _ in _cliques(link, max_dim):

@@ -118,13 +118,17 @@ def _with_point(region, x):
 class HPointClass:
     """Class of a singleton map, determined by the image point.
 
-    The support, key and hash are computed on first use and kept.
+    The key is set at construction; the support and hash are computed
+    on first use and kept.
     """
 
     image: tuple
     _support: SparseRegion = cached_field()
     _key: str = cached_field()
     _hash: int = cached_field()
+
+    def __post_init__(self):
+        self._key = f"p{self.image[0]}.{self.image[1]}"
 
     def __hash__(self):
         if self._hash is None:
@@ -140,8 +144,6 @@ class HPointClass:
         return None
 
     def key(self):
-        if self._key is None:
-            self._key = f"p{self.image[0]}.{self.image[1]}"
         return self._key
 
     def __str__(self):
@@ -152,8 +154,8 @@ class HPointClass:
 class HRayClass:
     """Class of a ray map: exceptional images, then a same-branch tail.
 
-    The support, children, key and hash are computed on first use and
-    kept.
+    The key is set at construction; the support, children and hash are
+    computed on first use and kept.
     """
 
     branch: int
@@ -163,6 +165,10 @@ class HRayClass:
     _children: tuple = cached_field()
     _key: str = cached_field()
     _hash: int = cached_field()
+
+    def __post_init__(self):
+        exc = ";".join([f"{i}.{m}" for i, m in self.exceptions])
+        self._key = f"r{self.branch}:{exc}:{self.tail}"
 
     @classmethod
     def make(cls, branch, exceptions, tail, tail_branch=None):
@@ -231,9 +237,6 @@ class HRayClass:
         return self._children
 
     def key(self):
-        if self._key is None:
-            exc = ";".join(f"{i}.{m}" for i, m in self.exceptions)
-            self._key = f"r{self.branch}:{exc}:{self.tail}"
         return self._key
 
     def __str__(self):
@@ -378,7 +381,7 @@ class HGroupElement:
     def key(self):
         if self._key is None:
             exc = ";".join(
-                f"{x[0]}.{x[1]}>{y[0]}.{y[1]}" for x, y in self.exceptions
+                [f"{x[0]}.{x[1]}>{y[0]}.{y[1]}" for x, y in self.exceptions]
             )
             self._key = f"g{','.join(map(str, self.offsets))}:{exc}"
         return self._key
@@ -436,12 +439,13 @@ class HoughtonSystem(ExpansionSystem):
 
     def contraction_candidates(self, v):
         """The point–ray pairs of `combinations(v, 2)`, in that order: a
-        basin is a point and a ray, so no other pair has a coexpansion."""
-        return (
-            pair
-            for pair in itertools.combinations(v, 2)
-            if type(pair[0]) is not type(pair[1])
-        )
+        basin is a point and a ray, so no other pair has a coexpansion.
+        Point keys (`p…`) sort before ray keys (`r…`), so in vertex
+        order every point comes before every ray, and those pairs are
+        the product of the points and the rays, each in vertex order."""
+        points = [b for b in v if type(b) is HPointClass]
+        rays = [b for b in v if type(b) is HRayClass]
+        return itertools.product(points, rays)
 
     def coexpansions(self, elements):
         els = tuple(elements)

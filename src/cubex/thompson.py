@@ -19,7 +19,7 @@ into (d -> g) until no merge applies.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .core import (
     DomainMismatch,
@@ -200,15 +200,20 @@ def compose_entries(outer, inner):
 class VElement:
     """Canonical class of a finite prefix-map with domain transported to X.
 
-    The support, children, key and hash are computed on first use and
-    kept.
+    The key is set at construction, from `text` when the caller already
+    has it (as `_glued` does) and from the table otherwise.  The
+    support, children and hash are computed on first use and kept.
     """
 
     table: tuple
+    text: InitVar[str] = None
     _support: BallRegion = cached_field()
     _children: tuple = cached_field()
     _key: str = cached_field()
     _hash: int = cached_field()
+
+    def __post_init__(self, text):
+        self._key = _table_text(self.table) if text is None else text
 
     @classmethod
     def from_table(cls, entries):
@@ -241,7 +246,10 @@ class VElement:
             t = self.table
             if len(t) == 1:
                 ((_, g),) = t
-                kids = (VElement((("", g + "0"),)), VElement((("", g + "1"),)))
+                kids = (
+                    VElement((("", g + "0"),), f"->{g}0"),
+                    VElement((("", g + "1"),), f"->{g}1"),
+                )
             else:
                 kids = (
                     VElement(tuple((d[1:], g) for d, g in t if d[0] == "0")),
@@ -251,8 +259,6 @@ class VElement:
         return self._children
 
     def key(self):
-        if self._key is None:
-            self._key = _table_text(self.table)
         return self._key
 
     def __str__(self):
@@ -261,7 +267,7 @@ class VElement:
 
 def _table_text(table):
     """A table as `d->g,...` text: the key of (group) elements."""
-    return ",".join(f"{d}->{g}" for d, g in table)
+    return ",".join([f"{d}->{g}" for d, g in table])
 
 
 def canonicalize(entries, domain=""):
@@ -330,37 +336,42 @@ def _glued(b1, b2, support):
     """`glue` without the disjointness check, for callers that made it.
 
     `support` is the union of the halves' supports, the support of the
-    result; it, the halves b1 and b2, and the key fill its caches.
+    result; it and the halves b1 and b2 fill its caches, and the key is
+    passed in as `text`.
 
     The table needs no `_merge_sorted`.  Two entries of one half, once
     prefixed, are a mergeable sibling pair iff they were one in that
     half's own table, which is reduced; so no merge happens inside a
     half, and none can cascade from one.  Domain words '0'+d and '1'+d'
     are siblings only when d = d' = '', that is when both halves are
-    one-entry tables ('', w0) and ('', w1).  They merge iff w0 = w+'0'
-    and w1 = w+'1', into the single entry ('', w).  Otherwise the table
-    is the two prefixed halves joined, in domain order.
+    one-entry tables ('', g1) and ('', g2).  They merge iff g1 = w+'0'
+    and g2 = w+'1', into the single entry ('', w); else the table is
+    ('0', g1), ('1', g2).  Otherwise the table is the two prefixed
+    halves joined, in domain order.
 
-    The key follows from the halves' keys in the same two cases: each
+    The key follows from the halves' keys in the same cases: each
     entry's text `d->g` becomes `0d->g` or `1d->g`, and entries are
     separated by commas, which no word or arrow holds.
     """
     t1, t2 = b1.table, b2.table
-    w = t1[0][1][:-1]
-    if len(t1) == len(t2) == 1 and (t1[0][1], t2[0][1]) == (w + "0", w + "1"):
-        table, key = (("", w),), "->" + w
+    if len(t1) == len(t2) == 1:
+        g1, g2 = t1[0][1], t2[0][1]
+        w = g1[:-1]
+        if (g1, g2) == (w + "0", w + "1"):
+            table, key = (("", w),), "->" + w
+        else:
+            table, key = (("0", g1), ("1", g2)), f"0->{g1},1->{g2}"
     else:
         table = tuple(
             [("0" + d, g) for d, g in t1] + [("1" + d, g) for d, g in t2]
         )
         key = (
-            "0" + b1.key().replace(",", ",0")
-            + ",1" + b2.key().replace(",", ",1")
+            "0" + b1._key.replace(",", ",0")
+            + ",1" + b2._key.replace(",", ",1")
         )
-    glued = VElement(table)
+    glued = VElement(table, key)
     glued._support = support
     glued._children = (b1, b2)
-    glued._key = key
     return glued
 
 
@@ -410,7 +421,7 @@ class VSystem(ExpansionSystem):
         if len(els) != 2:
             return []
         b1, b2 = els
-        if b2.key() < b1.key():
+        if b2._key < b1._key:
             b1, b2 = b2, b1
         support = _disjoint_union(b1.support(), b2.support())
         if support is None:

@@ -535,6 +535,31 @@ def test_link_exits_1_when_the_flag_check_fails(
     assert flag["square_mismatches"] == mismatches
 
 
+def test_link_reports_a_repeated_neighbour(fig, capsys, monkeypatch):
+    # Each coexpansion is swapped for its first child, an element of its
+    # basin, so contracting {0, 10} to 10 and {0, 11} to 11 both reach
+    # the vertex without ball 0.  The link still prints; the flag check
+    # fails with no clique checked, and neither form raises.
+    real = thompson.VSystem.coexpansions
+
+    def broken(system, elements):
+        return [t.children()[0] for t in real(system, elements)]
+
+    monkeypatch.setattr(thompson.VSystem, "coexpansions", broken)
+    code, out, err = run(capsys, "link", fig)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["nodes"]) == 9
+    code, out, err = run(capsys, "link", fig, "--check-flag")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["flag"] == {
+        "passed": False,
+        "cliques_checked": 0,
+        "failures": 0,
+        "square_mismatches": 0,
+        "neighbor_map_injective": False,
+    }
+
+
 @pytest.mark.parametrize("name", ["v_vertex1", "houghton3_vertex1"])
 def test_each_link_consumer_lists_the_moves_once(name, capsys, monkeypatch):
     # `check_flag`, `cubes_at` and `cubex link --check-flag` each read

@@ -27,7 +27,10 @@ a glued `v` table, built without a merge pass, with `_merge_sorted` of
 its prefixed halves.  The key a glued `v` element derives from its
 halves' keys is compared with the text of its table, the one-sort union
 of two supports with `all_disjoint` and `make`, and the support a glued
-`houghton` ray takes from its basin with `make` of its own data.
+`houghton` ray takes from its basin with `make` of its own data.  An
+element's key is set at construction: on every path that builds one,
+its `_key` slot is compared with the key of its own data, and the
+engine's sort on that slot with the sort by `key()`.
 `moves_at`, which sorts only the contractions, is compared with the sort
 by kind, then target key, of the expansions and contractions listed.
 The two sets a move keeps are compared with their definition, and the
@@ -69,7 +72,7 @@ from cubex import (
     cube_vertices,
     validate_vertex,
 )
-from cubex import thompson
+from cubex import core, thompson
 from cubex.core import _reached
 from cubex.cubical import Cube, vertex_on_set
 from cubex.houghton import CrossBranchTail, HPiece, SparseRegion
@@ -648,6 +651,76 @@ def test_glued_keys_match_the_table_text(seed):
             assert t.key() == VElement(t.table).key()
             merges[len(t.table) == 1] += 1
     assert merges[True] >= 10 and merges[False] > 300, merges
+
+
+def own_key(b):
+    """An element's key from its own data, as its class documents it."""
+    if isinstance(b, VElement):
+        return ",".join(f"{d}->{g}" for d, g in b.table)
+    if isinstance(b, HPointClass):
+        return "p{}.{}".format(*b.image)
+    exc = ";".join(f"{i}.{m}" for i, m in b.exceptions)
+    return f"r{b.branch}:{exc}:{b.tail}"
+
+
+def built_elements(system, seed):
+    """(path, elements) for each way the library builds an element, on
+    seeded vertices: parsing, `children()`, `glue` (`v` only),
+    `coexpansions`, `act`, `base_vertex`, `join_standard` and
+    `random_vertex`."""
+    rng = rng_from_seed(seed)
+    base = system.base_vertex()
+    yield "base_vertex", list(base)
+    low = base.height
+    vertices = [random_vertex(system, rng, h) for h in range(low, low + 6)]
+    for v in vertices:
+        yield "random_vertex", list(v)
+        yield "parse", [
+            system.parse_element(system.element_to_obj(b)) for b in v
+        ]
+        yield "children", [
+            kid for b in v if b.children() is not None for kid in b.children()
+        ]
+        if isinstance(system, VSystem):
+            yield "glue", [
+                thompson.glue(b1, b2) for b1, b2 in itertools.permutations(v, 2)
+            ]
+        yield "coexpansions", [
+            t
+            for pair in system.contraction_candidates(v)
+            for t in system.coexpansions(pair)
+        ]
+        g = random_v_group(rng) if isinstance(system, VSystem) else (
+            random_h_group(rng, system.n)
+        )
+        yield "act", [system.act(g, b) for b in v]
+    for v1, v2 in zip(vertices, vertices[1:]):
+        s1, s2 = (system.standardize(w).end for w in (v1, v2))
+        yield "join_standard", list(system.join_standard(s1, s2))
+
+
+@SYSTEMS
+@pytest.mark.parametrize("seed", SEEDS)
+def test_keys_are_fixed_at_construction(system, seed):
+    # Every path that builds an element sets its key slot to the key of
+    # its own data, and the engine's sort on that slot is the sort by
+    # `key()`, in each built batch and reversed.
+    paths = collections.Counter()
+    for path, elements in built_elements(system, seed):
+        for b in elements:
+            assert b._key == own_key(b) == b.key(), (path, b)
+        for batch in (elements, elements[::-1]):
+            assert core._in_key_order(batch) == tuple(
+                sorted(batch, key=lambda b: b.key())
+            ), path
+        paths[path] += len(elements)
+    want = {
+        "parse", "children", "coexpansions", "act", "base_vertex",
+        "join_standard", "random_vertex",
+    }
+    if isinstance(system, VSystem):
+        want.add("glue")
+    assert set(paths) == want and min(paths.values()) > 0, paths
 
 
 @pytest.mark.parametrize("seed", SEEDS)
