@@ -371,16 +371,26 @@ class ExpansionSystem:
         `CubeComplex.stabilizer` relies on this contract: the piece is
         unique, so a group element fixing a vertex is the union of the
         pieces of the permutation it makes of the vertex's elements;
-        `transfer(b, b)` is the identity on b's support; and the relation
+        `transfer(b, b)` is the identity on b's support; the relation
         "`transfer(a, b)` is not None" is an equivalence (reflexive,
-        symmetric and transitive), whose classes the stabilizer permutes.
+        symmetric and transitive), whose classes the stabilizer permutes;
+        and the piece maps b1's support onto b2's.  So the pieces of a
+        permutation of a full-support vertex's elements, one per
+        element, tile the space on both sides, and the stabilizer builds
+        their union with `_assemble_unchecked`.
         """
         raise NotImplementedError
 
     def assemble(self, pieces):
         """The union of transfer pieces, each a bijection onto its image,
         as a group element: NotABijection unless the pieces' domains tile
-        the space and so do their images, the one check this makes."""
+        the space and so do their images, the one check this makes.  The
+        element is then built by `_assemble_unchecked`."""
+        raise NotImplementedError
+
+    def _assemble_unchecked(self, pieces):
+        """`assemble` without its check, for pieces whose domains and
+        images tile the space by construction (see `transfer`)."""
         raise NotImplementedError
 
     def identity(self):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, methodcaller
 
 from .core import (
     CapExceeded,
@@ -562,87 +562,72 @@ class CubeComplex:
     # -- stabilizers -------------------------------------------------------------
 
     def stabilizer(self, v, cap=100_000):
-        """All group elements fixing v, sorted by key: the span of the
-        class generators.
+        """All group elements fixing v, sorted by key, each built from
+        the permutation it makes of v's elements.
 
         Row i of the k x k table of `transfer(els[i], els[j])` pieces
         holds the j that element i can be carried to: its class
         (`_transfer_classes`).  A g fixing v permutes v's k elements,
-        g·els[i] = els[p(i)], and so extends the pieces
-        `table[i][p(i)]`; by `transfer`'s uniqueness contract, g is
-        their union, `assemble`'s result, so g is determined by p.  Each
-        p(i) lies in i's class, and g -> p is a homomorphism into the
-        product of the classes' symmetric groups.  A transposition and a
-        cycle generate each factor (`_class_generators`); each is
-        assembled, which checks the tiling, and checked to fix v, which
-        holds iff its k images lie in v (v's elements are distinct and
-        g is a bijection).  Their span, grown from the identity by right
-        multiplication, is closed by construction and maps onto the
-        product.  So it has ∏ (class size)! elements iff g -> p is
-        one-to-one, and then it is the whole stabilizer; InputError
-        otherwise.  Forming group[x] * t_i = group[j] records
-        back[i][j] = x.  When the chain x, back[i][x], ... reaches j
-        after p-1 steps, group[j] * t_i^(p-1) = group[x], so t_i^p = 1
-        by cancelling group[j], and the first such p is t_i's order m.
-        Once m is known, a member g with m-1 recorded steps back to
-        group[y] is group[y] * t_i^(m-1), so g * t_i is group[y] and is
-        not formed.  Skipped products land on members, so the list grows
-        as if every product were formed, and S * t ⊆ S still holds for
-        each generator: 32 products for an order-24 group of one class,
-        not 48.  Raises CapExceeded (carrying the first `cap` elements
-        found, sorted) once more than `cap` are found.  The span is
-        walked as a list in the order found, and the index dict beside
-        it only answers membership, so no hash order reaches the
-        products formed, the orders learned or the partial list.
+        g·els[i] = els[p(i)], so each p(i) lies in i's class and g
+        extends the pieces `table[i][p(i)]`; by `transfer`'s uniqueness
+        contract, g is their union.  Conversely, for each p that keeps
+        the classes, a union extending those pieces maps els[i] to
+        els[p(i)], and the pieces carry v's supports onto v's supports,
+        so they tile both sides by construction: the union is a group
+        element fixing v, built by `_assemble_unchecked`.  So the
+        stabilizer has ∏ (class size)! elements, one per such p.
+
+        A permutation is a k-tuple, and g * t has the permutation q∘t
+        of g's q and t's t.  The span of the class generators (a
+        transposition and a cycle per class, `_class_generators`) grows
+        from the identity by right multiplication, as a list in the
+        order found with a set beside it only for membership, so no
+        hash order reaches the list; it is the order in which forming
+        every product g * t would find the elements.  Each generator is
+        assembled, which checks its tiling, and must map each els[i] to
+        els[perm[i]]; the span must have ∏ (class size)! permutations;
+        and distinct permutations must build distinct elements.
+        InputError otherwise.  The order is known before any element is
+        built: when it exceeds `cap`, the walk stops once more than
+        `cap` permutations are found, only the first `cap` are built,
+        and CapExceeded carries them, sorted, and names the order.
         """
         els = list(v)
-        members = v.as_set()
         system = self.system
         table = [[system.transfer(a, b) for b in els] for a in els]
         classes = _transfer_classes(table)
-        generators = []
-        for perm in _class_generators(classes):
+        generators = _class_generators(classes)
+        for perm in generators:
             g = system.assemble([row[j] for row, j in zip(table, perm)])
-            if not all(system.act(g, b) in members for b in els):
+            if any(system.act(g, b) != els[j] for b, j in zip(els, perm)):
                 raise InputError("a class generator does not fix the vertex")
-            generators.append(g)
-        group = [system.identity()]
-        index = {group[0]: 0}
-        back = [[None] for _ in generators]
-        orders = [None] * len(generators)
-        key = type(group[0]).key
-        for x, g in enumerate(group):  # grows as it is walked
-            for i, t in enumerate(generators):
-                before, order = back[i], orders[i]
-                if order is not None:
-                    y = x
-                    for _ in range(order - 1):
-                        y = before[y]
-                        if y is None:
-                            break
-                    else:
-                        continue  # g = group[y] * t^(order-1): g * t is y
-                h = g * t
-                j = index.setdefault(h, len(group))
-                if j == len(group):
-                    group.append(h)
-                    for slots in back:
-                        slots.append(None)
-                before[j] = x
-                if order is None:
-                    y, steps = x, 1
-                    while y is not None and y != j:
-                        y, steps = before[y], steps + 1
-                    if y == j:
-                        orders[i] = steps
-            if len(group) > cap:
-                raise CapExceeded(
-                    f"stabilizer exceeded {cap} elements",
-                    partial=sorted(group[:cap], key=key),
-                )
-        if len(group) != math.prod(math.factorial(len(c)) for c in classes):
+        order = math.prod(math.factorial(len(c)) for c in classes)
+        span = [tuple(range(len(els)))]
+        seen = set(span)
+        for q in span:  # grows as it is walked
+            if len(span) > cap:
+                break
+            for t in generators:
+                p = tuple([q[j] for j in t])
+                if p not in seen:
+                    seen.add(p)
+                    span.append(p)
+        # Both over the cap: the walk stopped early and its count says nothing.
+        if len(span) != order and min(len(span), order) <= cap:
             raise InputError("stabilizer order is not the classes' product")
-        return sorted(group, key=key)
+        build = system._assemble_unchecked
+        group = [
+            build([row[j] for row, j in zip(table, p)]) for p in span[:cap]
+        ]
+        if len(set(group)) != len(group):
+            raise InputError("two permutations build one group element")
+        group.sort(key=methodcaller("key"))
+        if len(span) > cap:
+            raise CapExceeded(
+                f"stabilizer of order {order} exceeds the cap of {cap}",
+                partial=group,
+            )
+        return group
 
 
 def _transfer_classes(table):

@@ -542,15 +542,9 @@ class HoughtonSystem(ExpansionSystem):
         return None
 
     def assemble(self, pieces):
-        offsets = [0] * self.n
-        for piece in pieces:
-            if piece.tail_pair is not None:
-                (i, k), (j, l) = piece.tail_pair
-                if i != j:
-                    raise CrossBranchTail(
-                        "tail piece must stay within its branch"
-                    )
-                offsets[i - 1] = l - k
+        tails = [p.tail_pair for p in pieces if p.tail_pair is not None]
+        if any(i != j for (i, _), (j, _) in tails):
+            raise CrossBranchTail("tail piece must stay within its branch")
         regions = [piece.regions() for piece in pieces]
         for family in ([d for d, _ in regions], [g for _, g in regions]):
             if not (
@@ -558,6 +552,15 @@ class HoughtonSystem(ExpansionSystem):
                 and self.covers_space(family)
             ):
                 raise NotABijection("pieces do not tile the space")
+        return self._assemble_unchecked(pieces)
+
+    def _assemble_unchecked(self, pieces):
+        # Each branch's tail piece sets its eventual translation.
+        offsets = [0] * self.n
+        for piece in pieces:
+            if piece.tail_pair is not None:
+                (i, k), (_, l) = piece.tail_pair
+                offsets[i - 1] = l - k
         pairs = [pair for piece in pieces for pair in piece.point_pairs]
         return HGroupElement._normalized(self.n, tuple(offsets), pairs)
 

@@ -469,12 +469,15 @@ class VSystem(ExpansionSystem):
     def assemble(self, pieces):
         # Each entry maps a ball onto a ball: the pieces tile X on both
         # sides iff both word columns are complete codes.
-        entries = sorted(entry for piece in pieces for entry in piece)
         if not (
-            is_complete_code(d for d, _ in entries)
-            and is_complete_code(g for _, g in entries)
+            is_complete_code(d for piece in pieces for d, _ in piece)
+            and is_complete_code(g for piece in pieces for _, g in piece)
         ):
             raise NotABijection("pieces do not tile the space")
+        return self._assemble_unchecked(pieces)
+
+    def _assemble_unchecked(self, pieces):
+        entries = sorted([entry for piece in pieces for entry in piece])
         return VGroupElement(_merge_sorted(entries))
 
     def identity(self):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import oracle
-from .core import Vertex, apply_move, validate_vertex
+from .core import InputError, Vertex, apply_move, validate_vertex
 from .cubical import (
     CubeComplex,
     cube_intersection,
@@ -295,9 +295,17 @@ def check_stabilizers(seed=0, samples=200):
     if keys != {"->", "0->1,1->0"}:
         failures.append(f"height-2 stabilizer wrong: {sorted(keys)}")
     for k in (3, 4, 5):
+        # The engine forms no group product; here all |G|^2 are formed.
         v = oracle.random_vertex(vs, rng, k)
-        if len(cx.stabilizer(v)) != math.factorial(k):
+        stab = cx.stabilizer(v)
+        if len(stab) != math.factorial(k):
             failures.append(f"height-{k} stabilizer size")
+        if any(vs.act_vertex(g, v) != v for g in stab):
+            failures.append(f"height-{k} stabilizer moves the vertex")
+        try:
+            oracle.check_closed(stab)
+        except InputError as err:
+            failures.append(f"height-{k} {err}")
     failures.extend(_check_action_axioms(vs, seed, samples))
     failures.extend(_check_action_axioms(HoughtonSystem(2), seed, samples))
     return _result(

@@ -1104,13 +1104,12 @@ def test_stabilizer_matches_brute(system, seed):
     ids=["v", "houghton2"],
 )
 def test_stabilizer_keeps_every_check(system, height, tiling, monkeypatch):
-    # The checks of the span design: each class generator is assembled
-    # once, with its tiling checked on both sides, and acted on at each
-    # of v's k elements.  The span forms g * t only when t's order m is
-    # not yet known or g is not t^(m-1) recorded steps past a member:
-    # 32 products for these order-24 groups, where forming every one
-    # would take |G| per generator, 48.  It inverts nothing; the order
-    # check makes no group operation.
+    # The checks of the permutation walk: each class generator is
+    # assembled once, with its tiling checked on both sides, and acted on
+    # at each of v's k elements.  The span is walked on permutations, so
+    # no group product is formed and nothing is inverted; each of the 24
+    # elements is built once without a check, and each `assemble` ends
+    # in the same builder.
     v = random_vertex(system, rng_from_seed(7), height)
     els = list(v)
     table = [[system.transfer(a, b) for b in els] for a in els]
@@ -1131,18 +1130,19 @@ def test_stabilizer_keeps_every_check(system, height, tiling, monkeypatch):
         (type(system), "assemble"),
         tiling,
         (type(system), "act"),
+        (type(system), "_assemble_unchecked"),
         (group_type, "__mul__"),
         (group_type, "inverse"),
     ):
         count(owner, name)
     order = len(CubeComplex(system).stabilizer(v))
     assert (order, generators) == (24, 2)
-    # No "inverse" key: `inverse` was never called.
+    # No "__mul__" or "inverse" key: neither was called.
     assert counts == {
         "assemble": generators,
         tiling[1]: 2 * generators,
         "act": len(els) * generators,
-        "__mul__": 32,
+        "_assemble_unchecked": order + generators,
     }
 
 
@@ -1166,43 +1166,55 @@ def spanned_by_every_product(system, v):
     return group
 
 
-# Products the span walk forms, by order, for one class: the order-2
-# swap is formed twice before its chain closes, so nothing is skipped.
-PRODUCTS_BY_ORDER = {1: 0, 2: 2, 6: 9, 24: 32, 120: 158, 720: 962}
-
-
 @pytest.mark.parametrize("seed", [7, 1009])
 @BUILT_SYSTEMS
 def test_stabilizer_span_matches_the_walk_forming_every_product(
     system, seed, monkeypatch
 ):
-    products = collections.Counter()
+    # The permutation walk forms no product, and builds each element it
+    # returns once, outside `assemble`: |G| unchecked builds, or `cap`.
+    calls = collections.Counter()
     group_type = type(system.identity())
-    real = group_type.__mul__
 
-    def counted(g, t):
-        products["mul"] += 1
-        return real(g, t)
+    def count(owner, name):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(group_type, "__mul__", counted)
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(group_type, "__mul__")
+    count(type(system), "assemble")
+    count(type(system), "_assemble_unchecked")
+
+    def built():
+        """Elements built outside `assemble` since the last call."""
+        assert calls["__mul__"] == 0
+        count = calls["_assemble_unchecked"] - calls["assemble"]
+        calls.clear()
+        return count
+
     complex_ = CubeComplex(system)
     key = group_type.key
     rng = rng_from_seed(seed)
     low = system.base_vertex().height
     for h in range(low, low + 6):
         v = random_vertex(system, rng, h)
-        products.clear()
         got = complex_.stabilizer(v)
-        formed = products["mul"]
+        assert built() == len(got), h
         want = spanned_by_every_product(system, v)
+        calls.clear()
         assert got == sorted(want, key=key), h
-        assert formed == PRODUCTS_BY_ORDER[len(want)], h
         for cap in (1, 2, 3, 5, 8, 13, 21, 50, 100):
             if cap >= len(want):
                 assert complex_.stabilizer(v, cap=cap) == got, (h, cap)
+                assert built() == len(want), (h, cap)
                 continue
             with pytest.raises(CapExceeded) as err:
                 complex_.stabilizer(v, cap=cap)
+            assert built() == cap, (h, cap)
             assert err.value.partial == sorted(want[:cap], key=key), (h, cap)
 
 
@@ -1311,6 +1323,49 @@ def test_stabilizer_rejects_a_generator_that_moves_the_vertex(
         CubeComplex(system).stabilizer(v)
 
 
+@BUILT_SYSTEMS
+def test_stabilizer_rejects_a_generator_that_permutes_the_vertex_wrongly(
+    system, monkeypatch
+):
+    # Every image stays in v, but one element stays where each generator
+    # of its class moves it: a generator must map els[i] to
+    # els[perm[i]], not merely into v.
+    v = random_vertex(system, rng_from_seed(7), system.base_vertex().height + 3)
+    kept, _ = first_related_pair(system, v)
+    real = system.act
+    monkeypatch.setattr(
+        system, "act", lambda g, b: b if b == kept else real(g, b)
+    )
+    with pytest.raises(InputError, match="does not fix the vertex"):
+        CubeComplex(system).stabilizer(v)
+
+
+@BUILT_SYSTEMS
+def test_stabilizer_rejects_permutations_that_build_one_element(
+    system, monkeypatch
+):
+    # A builder that keeps the class generators and sends every other
+    # element to the identity passes the generator and order checks;
+    # only the count of distinct elements built catches it.
+    v = random_vertex(system, rng_from_seed(7), system.base_vertex().height + 3)
+    els = list(v)
+    table = [[system.transfer(a, b) for b in els] for a in els]
+    generators = {
+        system.assemble([row[j] for row, j in zip(table, perm)])
+        for perm in _class_generators(_transfer_classes(table))
+    }
+    identity = system.identity()
+    real = system._assemble_unchecked
+
+    def collapsing(pieces):
+        g = real(pieces)
+        return g if g in generators else identity
+
+    monkeypatch.setattr(system, "_assemble_unchecked", collapsing)
+    with pytest.raises(InputError, match="build one group element"):
+        CubeComplex(system).stabilizer(v)
+
+
 def test_stabilizer_rejects_a_span_short_of_the_classes_product(monkeypatch):
     # A height-3 `v` vertex has one class of three elements.  Its swap
     # alone spans two group elements, not 3! = 6.
@@ -1394,6 +1449,24 @@ def test_stabilizer_cap():
     assert len(partial) == 5
     assert [g.key() for g in partial] == sorted(g.key() for g in partial)
     assert all(vs.act_vertex(g, v) == v for g in partial)
+
+
+def test_stabilizer_cap_names_the_order_and_builds_only_the_cap(monkeypatch):
+    # Order 9! = 362,880 is known before the walk, which stops at the cap.
+    v = random_vertex(vs, rng_from_seed(7), 9)
+    built = []
+    real = vs._assemble_unchecked
+
+    def counted(pieces):
+        built.append(pieces)
+        return real(pieces)
+
+    monkeypatch.setattr(vs, "_assemble_unchecked", counted)
+    with pytest.raises(CapExceeded, match="order 362880 exceeds the cap"):
+        cx.stabilizer(v, cap=1000)
+    # One build per element, and one at the end of each generator's
+    # `assemble` (a class of nine has two generators).
+    assert len(built) == 1000 + 2
 
 
 @BUILT_SYSTEMS

@@ -10,6 +10,11 @@ disjoint supports (the region type's `all_disjoint`) and full support.
 Each cube's active elements must be distinct, in the base, expandable
 and in key order.  Seeded queries then run through every trusted path,
 on `v`, `houghton` n=2 and n=3, seeds 7 and 1009.
+
+`stabilizer` builds its group elements with the system's
+`_assemble_unchecked`, without `assemble`'s tiling check.  The same
+queries audit each of those elements: it must be a bijection and equal
+`assemble` of the same pieces.
 """
 
 import ast
@@ -29,6 +34,7 @@ from cubex import (
     thompson,
 )
 from cubex.core import _in_key_order
+from cubex.thompson import is_complete_code
 from cubex.oracle import (
     random_cube_at,
     random_h_group,
@@ -159,3 +165,51 @@ def test_every_trusted_build_is_a_vertex(name, seed, monkeypatch):
     assert built["check_flag"] == [0, 0]
     for query in ("cubes_at", "cube_intersection"):
         assert built[query][1] > 0, query
+
+
+def check_bijection(g):
+    if isinstance(g, thompson.VGroupElement):
+        assert is_complete_code(d for d, _ in g.table), "domain not a code"
+        assert is_complete_code(w for _, w in g.table), "image not a code"
+    else:
+        g._check_bijection()
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_every_unchecked_group_build_is_a_bijection(name, seed, monkeypatch):
+    system = SYSTEMS[name]()
+    owner = type(system)
+    build, assemble = owner._assemble_unchecked, owner.assemble
+    checking = []  # non-empty while `assemble` runs: its build is checked
+    audited = []
+
+    def audited_assemble(self, pieces):
+        checking.append(True)
+        try:
+            return assemble(self, pieces)
+        finally:
+            checking.pop()
+
+    def audited_build(self, pieces):
+        g = build(self, pieces)
+        if not checking:
+            check_bijection(g)
+            assert g == audited_assemble(self, pieces)
+            audited.append(g)
+        return g
+
+    monkeypatch.setattr(owner, "assemble", audited_assemble)
+    monkeypatch.setattr(owner, "_assemble_unchecked", audited_build)
+    built = {}
+
+    def run(query, function, *args):
+        audited.clear()
+        result = function(*args)
+        built[query] = built.get(query, 0) + len(audited)
+        if query == "stabilizer":
+            # Each element returned was built once, without a check.
+            assert sorted(audited, key=str) == result
+
+    run_queries(system, seed, run)
+    assert {q for q, count in built.items() if count} == {"stabilizer"}
