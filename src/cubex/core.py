@@ -64,11 +64,13 @@ class NotABijection(InputError):
 
 
 class CapExceeded(Exception):
-    """An exploration hit its resource cap; `partial` holds what was built."""
+    """An exploration hit its resource cap; `partial` holds what was built
+    and `total`, where known, the size of the whole result."""
 
-    def __init__(self, message, partial=None):
+    def __init__(self, message, partial=None, total=None):
         super().__init__(message)
         self.partial = partial
+        self.total = total
 
 
 def cached_field():

@@ -246,18 +246,13 @@ class _Link:
     def neighbors(self):
         """Per move, the mask of the vertex it reaches: v with the basin
         swapped for the expansion's children or the contraction's
-        target.  Two moves may reach the same one (`injective`)."""
+        target.  Two moves may reach the same one; `check_flag` then
+        fails."""
         return [
             self.vertex & ~basin
             | (self.mask(m.target.children()) if m.kind == "expand" else t)
             for m, basin, t in zip(self.moves, self.basins, self.targets)
         ]
-
-    @staticmethod
-    def injective(neighbors):
-        """True iff the `neighbors` masks are distinct: no two moves
-        reach the same vertex."""
-        return len(set(neighbors)) == len(neighbors)
 
     def kids(self):
         """The mask of each target's children, keyed by the target's
@@ -282,58 +277,41 @@ class _Link:
         missing from w, `on`, lie in the base and the base without them,
         plus their children, is w: the rule of `vertex_on_set`, which
         raises InputError where `on` is not in the base.  A clique fails
-        if the rule fails for v or for any of its neighbours.
-        RuntimeError if two moves reach the same neighbour (`injective`).
+        if the rule fails for v or for any of its neighbours.  If two
+        moves reach the same neighbour, the report fails with
+        `neighbor_map_injective` false and no clique walked.
+        InputError if `max_clique` < 2: the squares are the 2-cliques.
         """
+        if max_clique < 2:
+            raise InputError(f"max_clique must be at least 2: {max_clique}")
         moves = self.moves
+        edge_count = sum(row.bit_count() for row in self.later)
         neighbors = self.neighbors()
-        if not self.injective(neighbors):
-            raise RuntimeError("distinct moves reached the same neighbor")
+        if len(set(neighbors)) != len(neighbors):
+            return FlagReport(self.v, len(moves), edge_count, 0, (), (), False)
         kids = self.kids()
         failures = []
         checked = 0
-        squares = [0] * len(moves)  # row i: the j of each passed (i, j)
         for clique, base, active in _cliques(self, max_clique):
             if not clique:
                 continue
             checked += 1
-            # The else branch runs iff v and each neighbour are corners.
             for w in (self.vertex, *[neighbors[i] for i in clique]):
                 on = active & ~w
-                if on & ~base:
-                    break
                 children = 0
                 rest = on
                 while rest:
                     low = rest & -rest
                     children |= kids[low]
                     rest ^= low
-                if base & ~on | children != w:
+                if on & ~base or base & ~on | children != w:
+                    failures.append(tuple(moves[i] for i in clique))
                     break
-            else:
-                if len(clique) == 2:
-                    squares[clique[0]] |= 1 << clique[1]
-                continue
-            failures.append(tuple(moves[i] for i in clique))
-
-        # A passed 2-cube of clique (i, j) has corners v, neighbours i
-        # and j, and a fourth that differs from v in two disjoint basins,
-        # so it is no neighbour.  Neighbours are distinct (checked
-        # above), so a 2-cube through v and neighbours i and j exists iff
-        # (i, j) passed; a clique is an edge, so every mismatch is an
-        # edge that did not pass.
-        mismatches = [
-            (moves[i], moves[j])
-            for i, row in enumerate(self.later)
-            for j in _bits(row & ~squares[i])
-        ]
+        # Every edge is a 2-clique, walked in (i, j) order, and its square
+        # exists iff it passed: the failed 2-cliques are the mismatches.
+        mismatches = tuple(f for f in failures if len(f) == 2)
         return FlagReport(
-            self.v,
-            len(moves),
-            sum(row.bit_count() for row in self.later),
-            checked,
-            tuple(failures),
-            tuple(mismatches),
+            self.v, len(moves), edge_count, checked, tuple(failures), mismatches
         )
 
 
@@ -387,10 +365,11 @@ class FlagReport:
     cliques_checked: int
     failures: tuple
     square_mismatches: tuple
+    neighbor_map_injective: bool = True
 
     @property
     def passed(self):
-        return not self.failures and not self.square_mismatches
+        return self.neighbor_map_injective and not self.failures
 
 
 @dataclass(unsafe_hash=True)
@@ -483,8 +462,9 @@ class CubeComplex:
 
         Every clique in the link must span a cube containing v and all of
         the clique's neighbor vertices, and adjacency must coincide with
-        the existence of a 2-cube through v and both neighbors.
-        RuntimeError if two moves reach the same neighbour.
+        the existence of a 2-cube through v and both neighbors.  Distinct
+        moves must reach distinct neighbours, or the report fails.
+        InputError if `max_clique` < 2.
         """
         return self.link(v).check_flag(max_clique)
 
@@ -590,7 +570,7 @@ class CubeComplex:
         InputError otherwise.  The order is known before any element is
         built: when it exceeds `cap`, the walk stops once more than
         `cap` permutations are found, only the first `cap` are built,
-        and CapExceeded carries them, sorted, and names the order.
+        and CapExceeded carries them, sorted, and the order as `total`.
         """
         els = list(v)
         system = self.system
@@ -626,6 +606,7 @@ class CubeComplex:
             raise CapExceeded(
                 f"stabilizer of order {order} exceeds the cap of {cap}",
                 partial=group,
+                total=order,
             )
         return group
 

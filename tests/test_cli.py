@@ -7,6 +7,7 @@ import pytest
 
 from cubex import cli, cubical, literals, thompson
 from cubex.cli import main
+from cubex.oracle import random_vertex, rng_from_seed
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
@@ -189,11 +190,23 @@ def test_stabilizer(fig, capsys):
 
 
 def test_stabilizer_cap_writes_partial_group_and_exits_3(fig, capsys):
+    # The order is the whole group's, 6, beside the 4 elements written.
     code, out, err = run(capsys, "stabilizer", fig, "--cap", "4")
     assert code == 3
     data = json.loads(out)
-    assert data["order"] == 4 and len(data["elements"]) == 4
+    assert data["order"] == 6 and len(data["elements"]) == 4
     assert err.startswith("cap of 4 elements") and len(err.splitlines()) == 1
+
+
+def test_stabilizer_cap_writes_the_order_of_a_large_group(tmp_path, capsys):
+    # A height-9 vertex with one class of nine elements: order 9!.
+    system = thompson.VSystem()
+    v = random_vertex(system, rng_from_seed(7), 9)
+    path = write(tmp_path, "v.json", literals.vertex_to_obj(system, v))
+    code, out, _ = run(capsys, "stabilizer", path, "--cap", "3")
+    assert code == 3
+    data = json.loads(out)
+    assert data["order"] == 362880 and len(data["elements"]) == 3
 
 
 def test_verify_single_check(capsys):

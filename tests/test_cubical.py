@@ -1,6 +1,7 @@
 """Cubes, links, intersections, joins, exploration, stabilizers."""
 
 import collections
+import functools
 import itertools
 import math
 import random
@@ -33,7 +34,7 @@ from cubex import (
     validate_vertex,
     vertex_in_cube,
 )
-from cubex import core, cubical, houghton, thompson
+from cubex import core, cubical, houghton, thompson, verify
 from cubex.core import AscendingPath
 from cubex.cubical import (
     _class_generators,
@@ -434,12 +435,13 @@ def reference_check_flag(cx, v, max_clique):
     """`check_flag` as the loop it replaced computed it: each move pair
     tested against the corner set of every passed 2-cube, with the
     cliques, bases, neighbours and edges of the references above, and
-    corners tested by `vertex_in_cube`."""
+    corners tested by `vertex_in_cube`.  When two moves reach the same
+    neighbour, the report fails with no clique checked."""
     nodes = cx.moves_at(v)
     neighbors = [apply_move(v, m) for m in nodes]
-    if len(set(neighbors)) != len(neighbors):
-        raise RuntimeError("distinct moves reached the same neighbor")
     edges = reference_pairs(nodes)
+    if len(set(neighbors)) != len(neighbors):
+        return FlagReport(v, len(nodes), len(edges), 0, (), (), False)
     failures = []
     checked = 0
     two_cliques = {}
@@ -508,10 +510,10 @@ def untiled(coexpansions, v, rule):
 
 
 def flag_outcome(check, *args):
-    """check(*args), or the type of the exception it raised."""
+    """check(*args), or the type of the InputError it raised."""
     try:
         return check(*args)
-    except (RuntimeError, InputError) as e:
+    except InputError as e:
         return type(e)
 
 
@@ -545,6 +547,7 @@ def test_square_index_matches_the_reference_loop(system, seed, monkeypatch):
                 assert got == want, (v, rule, k)
                 if isinstance(got, FlagReport):
                     seen[rule, got.passed] += 1
+                    seen[rule, "repeated"] += not got.neighbor_map_injective
                     seen["mismatches"] += len(got.square_mismatches)
                 else:
                     seen[rule, got] += 1
@@ -559,8 +562,35 @@ def test_square_index_matches_the_reference_loop(system, seed, monkeypatch):
     assert seen[None, True] == 18
     for rule in ("below", "inside", "elsewhere"):
         assert seen[rule, False] > 0, rule
-    assert seen["inside", RuntimeError] > 0
+    assert seen["inside", "repeated"] > 0
     assert seen["mismatches"] > 5
+
+
+def test_check_flag_refuses_cliques_below_two():
+    # The square mismatches are the failed 2-cliques, so a walk that
+    # stops short of them would miss every square.
+    v = random_vertex(vs, rng_from_seed(7), 3)
+    assert len(cx.link(v).edges()) == 9
+    for k in (0, 1):
+        with pytest.raises(InputError, match="max_clique must be at least 2"):
+            cx.check_flag(v, k)
+    assert cx.check_flag(v, 2).passed
+
+
+def test_flag_condition_check_fails_on_a_repeated_neighbour(monkeypatch):
+    # With coexpansions that reach one neighbour by two contractions,
+    # `verify` reports the vertices that fail and raises nothing.
+    for cls in (VSystem, HoughtonSystem):
+        stock = cls.coexpansions
+
+        def broken(system, elements, stock=stock):
+            inside = untiled(functools.partial(stock, system), None, "inside")
+            return inside(elements)
+
+        monkeypatch.setattr(cls, "coexpansions", broken)
+    result = verify.check_flag_condition(seed=7)
+    assert not result.passed
+    assert result.line().startswith("FAIL flag-condition: 40 vertices")
 
 
 # -- joins ------------------------------------------------------------------------------
