@@ -386,8 +386,12 @@ class ExpansionSystem:
     def assemble(self, pieces):
         """The union of transfer pieces, each a bijection onto its image,
         as a group element: NotABijection unless the pieces' domains tile
-        the space and so do their images, the one check this makes.  The
-        element is then built by `_assemble_unchecked`."""
+        the space and so do their images, the one check this makes.  It
+        reads the pieces' raw ends, one column per side: `v`, whether
+        the domain words and the image words are complete codes;
+        `houghton`, whether the points and tail ends tile the n branches
+        (`HoughtonSystem._tiles`).  The element is then built by
+        `_assemble_unchecked`."""
         raise NotImplementedError
 
     def _assemble_unchecked(self, pieces):

@@ -393,25 +393,11 @@ class HGroupElement:
 @dataclass(unsafe_hash=True, slots=True)
 class HPiece:
     """A transfer piece: finitely many point maps plus at most one
-    within-branch tail translation.  Its domain and image regions are
-    built on first use and kept."""
+    within-branch tail translation.  It holds no cache: `assemble`
+    reads its points and tail ends as they stand."""
 
     point_pairs: tuple
     tail_pair: object  # ((branch, start), (branch, start)) or None
-    _regions: tuple = cached_field()
-
-    def regions(self):
-        """(domain, image): the regions the piece maps between."""
-        if self._regions is None:
-            tails = [(), ()]
-            if self.tail_pair is not None:
-                tails = [[end] for end in self.tail_pair]
-            regions = tuple(
-                SparseRegion.make([p[side] for p in self.point_pairs], tail)
-                for side, tail in enumerate(tails)
-            )
-            self._regions = regions
-        return self._regions
 
 
 class HoughtonSystem(ExpansionSystem):
@@ -545,14 +531,33 @@ class HoughtonSystem(ExpansionSystem):
         tails = [p.tail_pair for p in pieces if p.tail_pair is not None]
         if any(i != j for (i, _), (j, _) in tails):
             raise CrossBranchTail("tail piece must stay within its branch")
-        regions = [piece.regions() for piece in pieces]
-        for family in ([d for d, _ in regions], [g for _, g in regions]):
-            if not (
-                SparseRegion.all_disjoint(family)
-                and self.covers_space(family)
-            ):
+        # One sweep per side over the raw points and tail ends; no
+        # region is built.
+        for side in (0, 1):
+            if not self._tiles(pieces, side):
                 raise NotABijection("pieces do not tile the space")
         return self._assemble_unchecked(pieces)
+
+    def _tiles(self, pieces, side):
+        """True iff the pieces' ends on `side` (0: domains, 1: images)
+        tile X: one tail on each branch 1..n, no point named twice,
+        every point on a branch 1..n at a position >= 1 below that
+        branch's tail, and tail - 1 points below each tail.  The last
+        holds once the others do and there are sum(tail - 1) points:
+        that many distinct points fill that many positions.  The counts
+        are compared with n before anything is built: n may be huge."""
+        n = self.n
+        tails = [p.tail_pair[side] for p in pieces if p.tail_pair is not None]
+        points = [pair[side] for p in pieces for pair in p.point_pairs]
+        if len(tails) != n or sum(k for _, k in tails) - n != len(points):
+            return False
+        starts = dict(tails)
+        return (
+            len(starts) == n
+            and all(1 <= i <= n and k >= 1 for i, k in tails)
+            and len(set(points)) == len(points)
+            and all(1 <= p < starts.get(i, 1) for i, p in points)
+        )
 
     def _assemble_unchecked(self, pieces):
         # Each branch's tail piece sets its eventual translation.

@@ -133,9 +133,11 @@ class BallRegion:
 
 def _merge_sorted(entries):
     """Merge sibling (d0->g0),(d1->g1) pairs in a domain-sorted table: an
-    entry merges with the top of the stack while that is its sibling."""
+    entry merges with the top of the stack while that is its sibling.
+    An entry that merges nothing is kept as the tuple it came in."""
     stack = []
-    for d, g in entries:
+    for entry in entries:
+        d, g = entry
         while (
             stack
             and d[-1:] == g[-1:] == "1"
@@ -143,7 +145,8 @@ def _merge_sorted(entries):
         ):
             stack.pop()
             d, g = d[:-1], g[:-1]
-        stack.append((d, g))
+            entry = (d, g)
+        stack.append(entry)
     return tuple(stack)
 
 

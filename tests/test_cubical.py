@@ -1129,7 +1129,7 @@ def test_stabilizer_matches_brute(system, seed):
     "system, height, tiling",
     [
         (VSystem(), 4, (thompson, "is_complete_code")),
-        (HoughtonSystem(2), 6, (HoughtonSystem, "covers_space")),
+        (HoughtonSystem(2), 6, (HoughtonSystem, "_tiles")),
     ],
     ids=["v", "houghton2"],
 )

@@ -199,6 +199,22 @@ def test_full_support_check_never_builds_the_whole_space(monkeypatch):
     assert not HoughtonSystem(1).is_full_support(rays)
 
 
+def test_assemble_check_never_builds_the_whole_space(monkeypatch):
+    # The tiling check counts the tails against n before it builds
+    # anything: a system of 10**12 branches refuses the pieces of a small
+    # vertex at once, without a region; a list of n offsets would not fit.
+    v = random_vertex(h2, rng_from_seed(7), 5)
+    pieces = [h2.transfer(b, b) for b in v]
+
+    def guarded(points, tails):
+        raise AssertionError("built a region")
+
+    monkeypatch.setattr(SparseRegion, "make", staticmethod(guarded))
+    assert h2.assemble(pieces) == h2.identity()
+    with pytest.raises(NotABijection):
+        HoughtonSystem(10**12).assemble(pieces)
+
+
 # -- the group ----------------------------------------------------------------------
 
 
