@@ -6,8 +6,9 @@ Subcommands cover canonicalization (`canon`), complex queries
 verification suite (`verify`).  Inputs come from JSON files (see
 `literals` for the schemas); results go to stdout as JSON.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input,
-3 exploration or stabilizer cap exceeded.
+Exit codes: 0 success, 1 verification failure, 2 malformed input
+(an input file that cannot be read counts, and so does an output file
+that cannot be written), 3 exploration or stabilizer cap exceeded.
 """
 
 from __future__ import annotations
@@ -34,6 +35,14 @@ def _load_json(path):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
+        raise InputError(f"{path}: {err}") from err
+
+
+def _write_text(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as err:
         raise InputError(f"{path}: {err}") from err
 
 
@@ -184,12 +193,10 @@ def cmd_bfs(args):
         f"cap of {args.cap} vertices exceeded; writing partial graph",
     )
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(graph_to_dot(graph))
+        _write_text(args.dot, graph_to_dot(graph))
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(graph_to_json_obj(system, graph), fh, indent=2)
-            fh.write("\n")
+        obj = graph_to_json_obj(system, graph)
+        _write_text(args.json, json.dumps(obj, indent=2) + "\n")
     _emit(
         {
             "vertices": len(graph.vertices),

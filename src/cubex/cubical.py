@@ -12,8 +12,10 @@ by assembling transfer pieces.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter, methodcaller
 
@@ -382,6 +384,20 @@ class ExplorationGraph:
     radius: int
 
 
+@contextmanager
+def _collector_paused():
+    """Run the block, or the decorated call, with the cyclic garbage
+    collector off, and turn it back on afterwards, however the block
+    exits, only if it was on."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+
+
 class CubeComplex:
     """Complex operations for one expansion system."""
 
@@ -481,6 +497,7 @@ class CubeComplex:
 
     # -- exploration -----------------------------------------------------------
 
+    @_collector_paused()
     def bfs(self, start, radius, cap=100_000):
         """Vertices within `radius` moves of `start`, with incident edges.
 
@@ -501,6 +518,21 @@ class CubeComplex:
         anything is built, so each vertex of the ball is built once, by
         `apply_move` and `validate_vertex`, when it is first reached; an
         edge back to a known vertex builds nothing.
+
+        The call runs with the cyclic garbage collector paused
+        (`_collector_paused`, as a decorator); on return, on CapExceeded
+        and on any other exception the collector is left as it was on
+        entry.  A ball builds no reference cycle: the moves stay in the
+        memo, never on the elements, as
+        `tests/test_moves.py::test_bfs_leaves_no_reference_cycle`
+        checks.  So the collector would free nothing here, yet it would
+        sweep the growing ball several times per call.  On a return, the
+        decorator turns it back on only once this frame, the memo and
+        the index with it, is gone, so its first sweep after the call
+        sees only the graph.  Two caveats: another thread that turns the collector
+        off while a `bfs` runs may find it back on afterwards, and a
+        system whose elements or moves do form cycles keeps them until
+        `bfs` returns.
         """
         memo = {}
         index = {start.as_set(): 0}

@@ -147,6 +147,22 @@ def test_bfs_cap_exit_code(tmp_path, base_v, capsys):
     assert len(json.loads(js.read_text())["vertices"]) == 6
 
 
+@pytest.mark.parametrize("flag", ["--dot", "--json"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_bfs_unwritable_output_is_input_error(
+    tmp_path, base_v, capsys, flag, target
+):
+    # A path under a directory that does not exist, or a directory itself.
+    path = tmp_path
+    if target == "missing-dir":
+        path = tmp_path / "no-such-dir" / "g.out"
+    code, out, err = run(
+        capsys, "bfs", base_v, "--radius", "1", flag, str(path)
+    )
+    assert_input_error(code, out, err)
+    assert str(path) in err
+
+
 def test_act(tmp_path, capsys):
     g = write(tmp_path, "g.json", [["0", "1"], ["1", "0"]])
     v = write(

@@ -11,7 +11,8 @@ breadth-first loop over `moves_at` and `apply_move` with no memo at all.
 A memo shared over a walk or a traversal holds exactly what was asked.
 None of these may depend on hash order, and a traversal must leave no
 reference cycle behind, which would keep its moves alive until the
-cycle collector ran.
+cycle collector ran.  That is why `bfs` may pause the collector while
+it runs; it must leave the collector as it found it on every exit.
 """
 
 import collections
@@ -29,7 +30,7 @@ from cubex import (
     apply_move,
     core,
 )
-from cubex.core import ExpansionSystem
+from cubex.core import CapExceeded, ExpansionSystem
 from cubex.cubical import ExplorationGraph
 from cubex.oracle import random_vertex, rng_from_seed
 
@@ -303,3 +304,58 @@ def test_bfs_leaves_no_reference_cycle(name, seed):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+
+class Stop(Exception):
+    """Raised from inside a traversal by a wrapped system method."""
+
+
+def watched_bfs(name, exit):
+    """A radius-2 `bfs` from a seeded start that ends by `exit`: a
+    normal return, CapExceeded under a cap of 3 (below any of these
+    balls), or Stop raised by `expansions` at its second call.  Returns
+    what `gc.isenabled()` said at each call to `expansions`."""
+    system = SYSTEMS[name]()
+    start = seeded_start(system, 7)
+    seen = []
+    expansions = system.expansions
+
+    def recording(v, memo=None):
+        seen.append(gc.isenabled())
+        if exit == "error" and len(seen) == 2:
+            raise Stop
+        return expansions(v, memo)
+
+    system.expansions = recording
+    cx = CubeComplex(system)
+    if exit == "return":
+        assert len(cx.bfs(start, 2).vertices) > 10
+    else:
+        with pytest.raises(CapExceeded if exit == "cap" else Stop):
+            cx.bfs(start, 2, cap=3 if exit == "cap" else 100_000)
+    return seen
+
+
+EXITS = pytest.mark.parametrize("exit", ["return", "cap", "error"])
+
+
+@NAMES
+@EXITS
+def test_bfs_pauses_the_collector_and_turns_it_back_on(name, exit):
+    assert gc.isenabled()
+    seen = watched_bfs(name, exit)
+    assert gc.isenabled()
+    assert seen and not any(seen)
+
+
+@NAMES
+@EXITS
+def test_bfs_leaves_a_paused_collector_paused(name, exit):
+    gc.disable()
+    try:
+        seen = watched_bfs(name, exit)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen and not any(seen)
