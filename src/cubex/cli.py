@@ -31,10 +31,12 @@ from .oracle import brute_cube_intersection
 
 
 def _load_json(path):
+    # ValueError covers bad JSON, bytes that are not UTF-8 and an integer
+    # past the digit limit; RecursionError, JSON nested too deep.
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise InputError(f"{path}: {err}") from err
 
 

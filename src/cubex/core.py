@@ -316,7 +316,9 @@ class ExpansionSystem:
     family of supports overlaps (a system's glue may run the same
     sweep and keep its sorted words, as `v`'s does).  Supports are
     never empty, which `validate_vertex` relies on: a repeated element
-    overlaps itself, so the same sweep catches it.
+    overlaps itself, so the same sweep catches it.  Whether disjoint
+    regions cover the space is the system's `covers_space`, one tiling
+    rule per system, shared with `assemble`; no union is built.
 
     `expansions(v)` yields one expansion per expandable element of v,
     and `contractions(v)` one contraction per coexpansion of each subset
@@ -347,7 +349,11 @@ class ExpansionSystem:
         raise NotImplementedError
 
     def covers_space(self, regions):
-        """True iff the union of the regions is the whole space."""
+        """True iff the regions, pairwise disjoint, tile the whole space.
+        Its one caller, `is_full_support`, passes a vertex's supports.
+        Each system runs the tiling rule of its `assemble` on the
+        regions' parts: `is_complete_code` on `v`'s words,
+        `HoughtonSystem._tiles` on `houghton`'s points and tails."""
         raise NotImplementedError
 
     def base_vertex(self):

@@ -23,7 +23,6 @@ from .core import (
     CapExceeded,
     DuplicateElement,
     InputError,
-    MoveNotApplicable,
     Vertex,
     _in_key_order,
     _reached,
@@ -206,9 +205,10 @@ class _Link:
     in vertex order, then the contraction targets in `moves_at` order,
     then the children that `neighbors` and `kids` mask, in the order
     they are asked for, each in `moves_at` and `children()` order.  No
-    hash order picks a bit.  Masks are equal iff their element sets
-    are, so a corner holding a child that no vertex of the link holds
-    equals none of them.
+    hash order picks a bit, and `bit` is a dict kept in that order, so
+    bit i is `list(link.bit)[i]`.  Masks are equal iff their element
+    sets are, so a corner holding a child that no vertex of the link
+    holds equals none of them.
 
     `v` is the vertex, `moves` its moves in `moves_at` order and
     `vertex` v's mask.  Per move i, `basins[i]` and `targets[i]` are
@@ -325,14 +325,13 @@ def _cliques(link, max_size):
     candidates are the later indices adjacent to all its members, so
     each extension masks its parent's with one row of `link.later`.
 
-    A clique's base is v after its contractions, so it is its parent's
-    base, after one contraction when the index just added is one:
-    `(base & ~basin) | target`, MoveNotApplicable unless the base holds
-    the basin, as `core._reached` raises.  The moves are in `moves_at`
-    order, contractions first, so every clique lists its contractions
-    first and each set of them is built into a base once."""
+    A clique's base is its parent's with the basin of the move just
+    added swapped for its target: `base & ~basin | target`, for every
+    move.  An expansion's basin is its own target, so it leaves the
+    base as it was.  The base always holds the basin: the basin lies in
+    v, and the clique's other basins, the only part of v the base has
+    swapped out, are disjoint from it."""
     basins, targets, later = link.basins, link.targets, link.later
-    contracts = [m.kind == "contract" for m in link.moves]
     yield (), link.vertex, 0
     # Cliques still to extend, each with the candidates it has not yet
     # tried.  The top is extended next, so a clique's children are
@@ -347,11 +346,8 @@ def _cliques(link, max_size):
         candidates ^= low
         if candidates:
             todo.append((clique, candidates, base, active))
-        if contracts[i]:
-            if basins[i] & ~base:
-                raise MoveNotApplicable("basin not contained in vertex")
-            base = base & ~basins[i] | targets[i]
         clique += (i,)
+        base = base & ~basins[i] | targets[i]
         active |= targets[i]
         yield clique, base, active
         candidates &= later[i]
@@ -438,31 +434,31 @@ class CubeComplex:
     def cubes_at(self, v, max_dim):
         """One cube per clique of disjoint-basin moves at v, up to max_dim,
         in the depth-first order of the link's walk (`_cliques`).  A
-        clique's base vertex is its parent's, after one contraction
-        (`_neighbor`) when the move just added is one.  The moves are in
-        `moves_at` order, so each set of contractions is built into a
-        base once.  Its active elements are the clique's targets sorted
-        by key, ties in clique order, as `_in_key_order` sorts them.
+        clique's base is the vertex of the base mask the walk yields:
+        one vertex per distinct mask, built when the mask first shows
+        up, from the elements whose bits it sets (bit i is
+        `list(link.bit)[i]`).  v's own mask is v.  Its active elements
+        are the clique's targets sorted by key, ties in clique order, as
+        `_in_key_order` sorts them.
 
         Every returned cube contains v; the empty clique contributes the
         0-cube at v, and the all-expansions clique realizes the maximal
         cube of the ascending star.
         """
         link = self.link(v)
-        moves = link.moves
-        targets = [m.target for m in moves]
+        elements = list(link.bit)
+        targets = [m.target for m in link.moves]
         key = [b._key for b in targets].__getitem__
-        bases = [v]  # bases[d]: the base of the clique's first d moves
+        bases = {link.vertex: v}
         cubes = []
-        for clique, _, _ in _cliques(link, max_dim):
-            d = len(clique)
-            if d:
-                m, base = moves[clique[-1]], bases[d - 1]
-                if m.kind == "contract":
-                    base = _neighbor(base, m)
-                bases[d:] = [base]
+        for clique, mask, _ in _cliques(link, max_dim):
+            base = bases.get(mask)
+            if base is None:
+                base = bases[mask] = _vertex_unchecked(
+                    [elements[i] for i in _bits(mask)]
+                )
             active = tuple(map(targets.__getitem__, sorted(clique, key=key)))
-            cubes.append(Cube(bases[d], active))
+            cubes.append(Cube(base, active))
         return cubes
 
     # -- link and flag condition ---------------------------------------------
@@ -529,10 +525,10 @@ class CubeComplex:
         sweep the growing ball several times per call.  On a return, the
         decorator turns it back on only once this frame, the memo and
         the index with it, is gone, so its first sweep after the call
-        sees only the graph.  Two caveats: another thread that turns the collector
-        off while a `bfs` runs may find it back on afterwards, and a
-        system whose elements or moves do form cycles keeps them until
-        `bfs` returns.
+        sees only the graph.  Two caveats: another thread that turns the
+        collector off while a `bfs` runs may find it back on afterwards,
+        and a system whose elements or moves do form cycles keeps them
+        until `bfs` returns.
         """
         memo = {}
         index = {start.as_set(): 0}

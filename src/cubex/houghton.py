@@ -451,16 +451,9 @@ class HoughtonSystem(ExpansionSystem):
         return [glued]
 
     def covers_space(self, regions):
-        # Compared with the whole space's descriptor (no points, tail
-        # (i, 1) on each branch i) without building it: n may be huge.
-        union = SparseRegion.make(
+        return self._tiles(
             [p for r in regions for p in r.points],
             [t for r in regions for t in r.tails],
-        )
-        return (
-            not union.points
-            and len(union.tails) == self.n
-            and all(t == (i, 1) for i, t in enumerate(union.tails, start=1))
         )
 
     def base_vertex(self):
@@ -534,21 +527,23 @@ class HoughtonSystem(ExpansionSystem):
         # One sweep per side over the raw points and tail ends; no
         # region is built.
         for side in (0, 1):
-            if not self._tiles(pieces, side):
+            points = [pair[side] for p in pieces for pair in p.point_pairs]
+            if not self._tiles(points, [pair[side] for pair in tails]):
                 raise NotABijection("pieces do not tile the space")
         return self._assemble_unchecked(pieces)
 
-    def _tiles(self, pieces, side):
-        """True iff the pieces' ends on `side` (0: domains, 1: images)
-        tile X: one tail on each branch 1..n, no point named twice,
-        every point on a branch 1..n at a position >= 1 below that
-        branch's tail, and tail - 1 points below each tail.  The last
-        holds once the others do and there are sum(tail - 1) points:
-        that many distinct points fill that many positions.  The counts
-        are compared with n before anything is built: n may be huge."""
+    def _tiles(self, points, tails):
+        """True iff the points and the tails (branch, start), each the
+        whole ray from its start, tile X, given as raw lists: a piece's
+        ends on one side (`assemble`) or the parts of pairwise disjoint
+        supports (`covers_space`).  That is one tail on each branch
+        1..n, no point named twice, every point on a branch 1..n at a
+        position >= 1 below that branch's tail, and tail - 1 points
+        below each tail.  The last holds once the others do and there
+        are sum(tail - 1) points: that many distinct points fill that
+        many positions.  The counts are compared with n before anything
+        is built: n may be huge."""
         n = self.n
-        tails = [p.tail_pair[side] for p in pieces if p.tail_pair is not None]
-        points = [pair[side] for p in pieces for pair in p.point_pairs]
         if len(tails) != n or sum(k for _, k in tails) - n != len(points):
             return False
         starts = dict(tails)

@@ -432,7 +432,7 @@ class VSystem(ExpansionSystem):
         return [_glued(b1, b2, support), _glued(b2, b1, support)]
 
     def covers_space(self, regions):
-        return _normalize_words(w for r in regions for w in r.words) == ("",)
+        return is_complete_code(w for r in regions for w in r.words)
 
     def base_vertex(self):
         return Vertex((VElement((("", ""),)),))

@@ -255,6 +255,23 @@ def test_missing_file_is_input_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"instance": "v\xff"}',
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"instance": "houghton", "n": ' + b"9" * 5000 + b"}",
+    ],
+    ids=["not-utf8", "nested-too-deep", "too-many-digits"],
+)
+def test_undecodable_file_is_input_error(tmp_path, capsys, content):
+    path = tmp_path / "v.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "neighbors", str(path))
+    assert_input_error(code, out, err)
+    assert str(path) in err
+
+
 def houghton_base(n):
     return {
         "instance": "houghton",

@@ -890,9 +890,9 @@ def contraction_bases(vertices):
 def test_check_flag_builds_nothing_and_cubes_at_each_base_once(monkeypatch):
     # 100 seed-7 height-3 `v` and 100 height-4 `houghton` n=2 vertices.
     # `check_flag` runs on the link's masks: it reaches no `_reached`
-    # and builds no vertex and no cube.  `cubes_at` builds each set of
-    # one or more contractions into a base once, from its parent's base,
-    # and one cube per clique.
+    # and builds no vertex and no cube.  `cubes_at` builds the base of
+    # each set of one or more contractions once, from the walk's mask,
+    # reaching no `_reached` either, and one cube per clique.
     vertices = []
     for system, height in ((vs, 3), (HoughtonSystem(2), 4)):
         rng = rng_from_seed(7)
@@ -902,7 +902,7 @@ def test_check_flag_builds_nothing_and_cubes_at_each_base_once(monkeypatch):
         ]
     reports = [sx.check_flag(v, 3) for sx, v in vertices]
     bases = contraction_bases(vertices)
-    reached, built = [], collections.Counter()
+    reached, made, built = [], [], collections.Counter()
     real_reached, real_vertex = cubical._reached, cubical._vertex_unchecked
     init = cubical.Cube.__init__
 
@@ -912,6 +912,7 @@ def test_check_flag_builds_nothing_and_cubes_at_each_base_once(monkeypatch):
 
     def vertex(elements):
         built["vertex"] += 1
+        made.append(frozenset(elements))
         return real_vertex(elements)
 
     def cube(c, base, active):
@@ -924,7 +925,7 @@ def test_check_flag_builds_nothing_and_cubes_at_each_base_once(monkeypatch):
     assert [sx.check_flag(v, 3) for sx, v in vertices] == reports
     assert reached == [] and not built
     cubes = [c for sx, v in vertices for c in sx.cubes_at(v, 3)]
-    assert reached == bases
+    assert reached == [] and made == bases
     assert built == {"vertex": len(bases), "cube": len(cubes)}
     assert len(bases) > 1000
 

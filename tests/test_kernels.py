@@ -901,7 +901,9 @@ def test_assemble_matches_the_reference(system, seed):
 
 def region_tiles(system, pieces, side):
     """The `houghton` tiling test as it was: each piece's end on `side`
-    as a normalized region, then `all_disjoint` and `covers_space`."""
+    as a normalized region, then `all_disjoint`, and the union of the
+    regions, normalized by `make`, compared with the whole space: no
+    points and a tail (i, 1) on each branch i."""
     regions = [
         SparseRegion.make(
             [pair[side] for pair in piece.point_pairs],
@@ -909,7 +911,14 @@ def region_tiles(system, pieces, side):
         )
         for piece in pieces
     ]
-    return SparseRegion.all_disjoint(regions) and system.covers_space(regions)
+    union = SparseRegion.make(
+        [x for r in regions for x in r.points],
+        [t for r in regions for t in r.tails],
+    )
+    whole = tuple((i, 1) for i in range(1, system.n + 1))
+    return SparseRegion.all_disjoint(regions) and union == SparseRegion(
+        frozenset(), whole
+    )
 
 
 def hand_made_tilings(n):
@@ -946,7 +955,9 @@ def test_tiling_predicate_matches_the_region_path(n, seed):
     cases = itertools.chain(assemble_cases(system, seed), hand_made_tilings(n))
     for kind, pieces in cases:
         for side in (0, 1):
-            got = system._tiles(pieces, side)
+            points = [pair[side] for p in pieces for pair in p.point_pairs]
+            tails = [p.tail_pair[side] for p in pieces if p.tail_pair]
+            got = system._tiles(points, tails)
             want = region_tiles(system, pieces, side)
             if kind == "inside":
                 assert (got, want) == (False, True), pieces

@@ -29,6 +29,8 @@ from cubex.oracle import (
     evaluate_table,
     random_v_element,
     random_v_group,
+    random_vertex,
+    rng_from_seed,
     tables_agree,
 )
 
@@ -133,6 +135,24 @@ def test_support_region_normalization_idempotent():
     r = BallRegion.make(["00", "01", "1"])
     assert r.words == ("",)
     assert BallRegion.make(r.words) == r
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+def test_covers_space_matches_the_union_of_the_regions(seed):
+    # `covers_space` runs the complete-code test on the words; the
+    # reference normalizes their union and compares it with the whole
+    # space.  Every prefix of a vertex is disjoint; only the whole
+    # vertex covers.
+    rng = rng_from_seed(seed)
+    for height in range(1, 9):
+        for _ in range(10):
+            v = random_vertex(vs, rng, height)
+            for k in range(len(v) + 1):
+                regions = [b.support() for b in v.elements[:k]]
+                words = [w for r in regions for w in r.words]
+                whole = BallRegion.make(words) == BallRegion(("",))
+                assert vs.covers_space(regions) == whole, (v, k)
+                assert whole == (k == len(v))
 
 
 # -- expansion and gluing ---------------------------------------------------------
